@@ -1,40 +1,29 @@
 // Interpreter throughput: tree-walking executor vs the compiled access-plan
-// engine vs the native tier (plans compiled to shared objects), with and
-// without a trace sink attached, over the four evaluation apps (ADI, Swim,
-// Tomcatv, NAS/SP).
+// engine, with and without a trace sink attached, over the four evaluation
+// apps (ADI, Swim, Tomcatv, NAS/SP).
 //
 // These are the engines behind every table in the suite, so the benchmark
-// also runs a three-way differential self-check (memory image, instruction
-// count, and full instruction trace must be byte-identical across all
-// engines) and refuses to report a speedup that changed the answers.  The
-// native tier is additionally gated on its compile-once/run-many contract:
-// a warm persistent store must serve each module with zero compiler
-// invocations and byte-identical results (cold-compile vs warm-store load
-// times are reported per app).  Results go to stdout and BENCH_interp.json
-// (consumed by CI).
+// also runs a differential self-check (memory image, instruction count, and
+// full instruction trace must be byte-identical across both engines) and
+// refuses to report a speedup that changed the answers.  Results go to
+// stdout and BENCH_interp.json (consumed by CI).
 //
 // What to expect (methodology and floor analysis in EXPERIMENTS.md): the
-// plan engine already executes within a few percent of the serial
-// mix-chain/store-to-load dependence floor, so native-over-plan gains are
-// modest (~1.0-1.8x no sink, more with a sink attached); the decisive
-// native win is compile-once/run-many — a warm store replaces seconds of
-// compilation with a millisecond-scale dlopen.  CI enforces a regression
-// floor, not the paper-style 3x that the dependence floor rules out.
+// plan engine executes within a few percent of the serial mix-chain/
+// store-to-load dependence floor, ~3.5x geomean over the walker.
 //
 // Sizes: GCR_BENCH_N overrides the grid size for all apps; GCR_FULL_SIZE=1
 // selects the large preset.  Wall-clock numbers vary run to run; the
-// self-check and warm-store verdicts must not.
+// self-check verdict must not.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hpp"
 #include "bench_util.hpp"
-#include "codegen/native_exec.hpp"
 #include "driver/pipeline.hpp"
 #include "interp/interp.hpp"
 #include "interp/plan.hpp"
@@ -49,27 +38,6 @@ double now() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// Self-cleaning store directory for the cold-compile/warm-load cycle.
-class TempStoreDir {
- public:
-  TempStoreDir() {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "gcr-bench-store.XXXXXX")
-            .string();
-    if (::mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
-  }
-  ~TempStoreDir() {
-    if (!path_.empty()) {
-      std::error_code ec;
-      std::filesystem::remove_all(path_, ec);
-    }
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// Best-of-reps wall time of `run` (one full execution per call).
 template <typename Run>
@@ -102,48 +70,30 @@ bool tracesIdentical(const InstrTrace& a, const InstrTrace& b) {
   return true;
 }
 
-/// All three engines must produce byte-identical results on this program
-/// before any throughput number for it is trusted.  (When no C compiler is
-/// available the native run falls back to the plan engine, which keeps the
-/// check meaningful without making it vacuous: native_available reports the
-/// tier's status separately.)
-bool selfCheck(const Program& p, const DataLayout& layout, ExecOptions opts,
-               NativeRuntime& rt) {
-  const PlanCompileResult compiled = compilePlan(p, layout, opts);
-  if (!compiled.ok()) return false;
+/// Both engines must produce byte-identical results on this program before
+/// any throughput number for it is trusted.
+bool selfCheck(const Program& p, const DataLayout& layout, ExecOptions opts) {
+  if (!compilePlan(p, layout, opts).ok()) return false;
   opts.engine = ExecEngine::TreeWalk;
   InstrTrace walkTrace;
   const ExecResult walk = execute(p, layout, opts, &walkTrace);
   opts.engine = ExecEngine::Plan;
   InstrTrace planTrace;
   const ExecResult plan = execute(p, layout, opts, &planTrace);
-  InstrTrace nativeTrace;
-  const ExecResult native = rt.execute(
-      *compiled.plan, {.n = opts.n, .timeSteps = opts.timeSteps},
-      &nativeTrace);
-  return walk.instrCount == plan.instrCount &&
-         walk.instrCount == native.instrCount && walk.memory == plan.memory &&
-         walk.memory == native.memory &&
-         tracesIdentical(walkTrace, planTrace) &&
-         tracesIdentical(walkTrace, nativeTrace);
+  return walk.instrCount == plan.instrCount && walk.memory == plan.memory &&
+         tracesIdentical(walkTrace, planTrace);
 }
 
 struct AppResult {
   std::string app;
   std::int64_t n = 0;
   std::uint64_t accesses = 0;
-  double walkNoSink = 0, planNoSink = 0, nativeNoSink = 0;  // seconds
-  double walkSink = 0, planSink = 0, nativeSink = 0;        // seconds
-  double coldCompileSeconds = 0;  // emit + cc + dlopen + publish, once
-  double warmLoadSeconds = 0;     // store get + dlopen in a fresh runtime
+  double walkNoSink = 0, planNoSink = 0;  // seconds
+  double walkSink = 0, planSink = 0;      // seconds
   bool checkOk = false;
-  bool nativeRan = false;      // served by machine code, not fallback
-  bool warmStoreOk = false;    // warm store: zero compiles, identical bytes
 
   double speedupNoSink() const { return walkNoSink / planNoSink; }
   double speedupSink() const { return walkSink / planSink; }
-  double nativeOverPlanNoSink() const { return planNoSink / nativeNoSink; }
-  double nativeOverPlanSink() const { return planSink / nativeSink; }
 };
 
 double geomean(const std::vector<double>& xs) {
@@ -183,28 +133,12 @@ AppResult runApp(const std::string& app, int reps) {
   ProgramVersion v = makeVersion(p, Strategy::NoOpt);
   DataLayout layout = v.layoutAt(r.n);
 
-  const ExecOptions benchOpts{.n = r.n, .timeSteps = benchSteps()};
-  const PlanCompileResult compiled = compilePlan(v.program, layout, benchOpts);
-  if (!compiled.ok()) return r;  // checkOk false — caught by the gate
-
-  // Cold native runtime over an empty store: the first execution pays the
-  // whole emit + compile + dlopen + publish path.  The module's key is
-  // structural, so the same module also serves the (smaller) self-check.
-  TempStoreDir storeDir;
-  auto store = store::ArtifactStore::open({.dir = storeDir.path()});
-  NativeRuntime cold({.store = store ? store.get() : nullptr});
-
-  const double tColdStart = now();
-  const ExecResult nativeFirst = cold.execute(*compiled.plan, benchOpts);
-  const double coldFirstSeconds = now() - tColdStart;
-  r.nativeRan = cold.counters().nativeRuns == 1 && cold.counters().fallbacks == 0;
-
-  // Correctness gate at a size small enough to hold three full traces.
+  // Correctness gate at a size small enough to hold two full traces.
   const std::int64_t checkN = std::min<std::int64_t>(r.n, 24);
-  DataLayout checkLayout = v.layoutAt(checkN);
-  r.checkOk = selfCheck(v.program, checkLayout,
-                        {.n = checkN, .timeSteps = 2}, cold);
+  r.checkOk =
+      selfCheck(v.program, v.layoutAt(checkN), {.n = checkN, .timeSteps = 2});
 
+  const ExecOptions benchOpts{.n = r.n, .timeSteps = benchSteps()};
   ExecOptions walkOpts = benchOpts;
   walkOpts.engine = ExecEngine::TreeWalk;
   ExecOptions planOpts = benchOpts;
@@ -215,8 +149,6 @@ AppResult runApp(const std::string& app, int reps) {
       reps, [&] { execute(v.program, layout, walkOpts, nullptr); });
   r.planNoSink = bestOf(
       reps, [&] { execute(v.program, layout, planOpts, nullptr); });
-  r.nativeNoSink =
-      bestOf(reps, [&] { cold.execute(*compiled.plan, benchOpts); });
   r.walkSink = bestOf(reps, [&] {
     CountingSink sink;
     execute(v.program, layout, walkOpts, &sink);
@@ -225,42 +157,16 @@ AppResult runApp(const std::string& app, int reps) {
     CountingSink sink;
     execute(v.program, layout, planOpts, &sink);
   });
-  r.nativeSink = bestOf(reps, [&] {
-    CountingSink sink;
-    cold.execute(*compiled.plan, benchOpts, &sink);
-  });
-
-  // One-time costs, reported honestly: cold compile = first-call overhead
-  // over a steady-state run; warm load = a fresh "process" (runtime) that
-  // may only use the store, timed the same way.
-  r.coldCompileSeconds = std::max(0.0, coldFirstSeconds - r.nativeNoSink);
-  if (store) {
-    NativeRuntime warm({.store = store.get(), .allowCompile = false});
-    const double tWarmStart = now();
-    const ExecResult warmFirst = warm.execute(*compiled.plan, benchOpts);
-    const double warmFirstSeconds = now() - tWarmStart;
-    r.warmLoadSeconds = std::max(0.0, warmFirstSeconds - r.nativeNoSink);
-    r.warmStoreOk = warm.counters().compiles == 0 &&
-                    warm.counters().storeHits == 1 &&
-                    warm.counters().fallbacks == 0 &&
-                    warmFirst.memory == nativeFirst.memory &&
-                    warmFirst.instrCount == nativeFirst.instrCount;
-  }
   return r;
 }
 
-void writeJson(const std::vector<AppResult>& rows, bool nativeAvailable,
-               double geoNoSink, double geoSink, double geoNativeNoSink,
-               double geoNativeSink, bool allOk, bool warmAllOk) {
+void writeJson(const std::vector<AppResult>& rows, double geoNoSink,
+               double geoSink, bool allOk) {
   bench::ResultWriter out("interp");
   JsonWriter& j = out.json();
   j.field("self_check_ok", allOk);
-  j.field("native_available", nativeAvailable);
-  j.field("warm_store_ok", warmAllOk);
   j.field("geomean_speedup_no_sink", geoNoSink, 3);
   j.field("geomean_speedup_with_sink", geoSink, 3);
-  j.field("geomean_native_over_plan_no_sink", geoNativeNoSink, 3);
-  j.field("geomean_native_over_plan_with_sink", geoNativeSink, 3);
   j.key("apps");
   j.beginArray();
   for (const AppResult& r : rows) {
@@ -270,18 +176,10 @@ void writeJson(const std::vector<AppResult>& rows, bool nativeAvailable,
     j.field("accesses", r.accesses);
     j.field("walk_no_sink_s", r.walkNoSink, 6);
     j.field("plan_no_sink_s", r.planNoSink, 6);
-    j.field("native_no_sink_s", r.nativeNoSink, 6);
     j.field("walk_with_sink_s", r.walkSink, 6);
     j.field("plan_with_sink_s", r.planSink, 6);
-    j.field("native_with_sink_s", r.nativeSink, 6);
     j.field("speedup_no_sink", r.speedupNoSink(), 3);
     j.field("speedup_with_sink", r.speedupSink(), 3);
-    j.field("native_over_plan_no_sink", r.nativeOverPlanNoSink(), 3);
-    j.field("native_over_plan_with_sink", r.nativeOverPlanSink(), 3);
-    j.field("cold_compile_s", r.coldCompileSeconds, 6);
-    j.field("warm_load_s", r.warmLoadSeconds, 6);
-    j.field("native_ran", r.nativeRan);
-    j.field("warm_store_ok", r.warmStoreOk);
     j.field("self_check_ok", r.checkOk);
     j.endObject();
   }
@@ -293,89 +191,40 @@ void writeJson(const std::vector<AppResult>& rows, bool nativeAvailable,
 
 int main() {
   using namespace gcr;
-  bench::printHeader(
-      "Interpreter throughput: tree walker vs compiled plan vs native code",
-      "engine microbenchmark (methodology in EXPERIMENTS.md)");
+  bench::printHeader("Interpreter throughput: tree walker vs compiled plan",
+                     "engine microbenchmark (methodology in EXPERIMENTS.md)");
 
   const int reps = bench::fullSize() ? 3 : 5;
   const std::vector<std::string> appNames = {"ADI", "Swim", "Tomcatv", "SP"};
   std::vector<AppResult> rows;
   for (const std::string& app : appNames) rows.push_back(runApp(app, reps));
-  const bool nativeAvailable =
-      std::all_of(rows.begin(), rows.end(),
-                  [](const AppResult& r) { return r.nativeRan; });
 
   TextTable t({"app", "n", "accesses", "walk Macc/s", "plan Macc/s",
-               "native Macc/s", "plan/walk", "native/plan", "check"});
-  std::vector<double> spNoSink, spSink, natNoSink, natSink;
+               "plan/walk", "plan/walk+sink", "check"});
+  std::vector<double> spNoSink, spSink;
   bool allOk = true;
-  bool warmAllOk = true;
   for (const AppResult& r : rows) {
     const double acc = static_cast<double>(r.accesses);
     t.addRow({r.app, std::to_string(r.n), std::to_string(r.accesses),
               TextTable::fmt(acc / r.walkNoSink / 1e6, 1),
               TextTable::fmt(acc / r.planNoSink / 1e6, 1),
-              TextTable::fmt(acc / r.nativeNoSink / 1e6, 1),
               TextTable::fmt(r.speedupNoSink(), 2) + "x",
-              TextTable::fmt(r.nativeOverPlanNoSink(), 2) + "x",
+              TextTable::fmt(r.speedupSink(), 2) + "x",
               r.checkOk ? "ok" : "FAIL"});
     spNoSink.push_back(r.speedupNoSink());
     spSink.push_back(r.speedupSink());
-    natNoSink.push_back(r.nativeOverPlanNoSink());
-    natSink.push_back(r.nativeOverPlanSink());
     allOk = allOk && r.checkOk;
-    warmAllOk = warmAllOk && r.warmStoreOk;
   }
   std::printf("%s", t.render().c_str());
 
-  TextTable t2({"app", "plan+sink Macc/s", "native+sink Macc/s",
-                "native/plan+sink", "cold compile (s)", "warm load (s)",
-                "warm zero-cc"});
-  for (const AppResult& r : rows) {
-    const double acc = static_cast<double>(r.accesses);
-    t2.addRow({r.app, TextTable::fmt(acc / r.planSink / 1e6, 1),
-               TextTable::fmt(acc / r.nativeSink / 1e6, 1),
-               TextTable::fmt(r.nativeOverPlanSink(), 2) + "x",
-               TextTable::fmt(r.coldCompileSeconds, 3),
-               TextTable::fmt(r.warmLoadSeconds, 3),
-               r.warmStoreOk ? "ok" : "FAIL"});
-  }
-  std::printf("\ncompile-once/run-many (native tier):\n%s", t2.render().c_str());
-
   const double geoNoSink = geomean(spNoSink);
   const double geoSink = geomean(spSink);
-  const double geoNativeNoSink = geomean(natNoSink);
-  const double geoNativeSink = geomean(natSink);
   std::printf("geomean plan-over-walk speedup: %.2fx without sink, %.2fx "
               "with counting sink\n", geoNoSink, geoSink);
-  std::printf("geomean native-over-plan speedup: %.2fx without sink, %.2fx "
-              "with counting sink\n", geoNativeNoSink, geoNativeSink);
   std::printf("differential self-check: %s\n",
               allOk ? "ok (engines byte-identical)" : "FAILED");
-  if (nativeAvailable)
-    std::printf("native tier: active; warm store %s\n",
-                warmAllOk ? "serves every module with zero compiler "
-                            "invocations (byte-identical)"
-                          : "FAILED its zero-compile replay");
-  else
-    std::printf("native tier: unavailable (no usable C compiler); plan "
-                "interpreter served the native columns\n");
-  writeJson(rows, nativeAvailable, geoNoSink, geoSink, geoNativeNoSink,
-            geoNativeSink, allOk, warmAllOk);
+  writeJson(rows, geoNoSink, geoSink, allOk);
 
-  // Gates: answers must match across engines always; with the native tier
-  // active, the warm store must replay compile-free and native throughput
-  // must at least clear a regression floor over the plan engine (the
-  // dependence-floor analysis in EXPERIMENTS.md explains why the honest
-  // bound is a floor near 1x, not a multiple).
-  bool pass = allOk;
-  if (nativeAvailable) {
-    pass = pass && warmAllOk;
-    if (geoNativeNoSink < 1.02) {
-      std::printf("FAIL: native-over-plan geomean %.3fx below the 1.02x "
-                  "regression floor\n", geoNativeNoSink);
-      pass = false;
-    }
-  }
-  return pass ? 0 : 1;
+  // Gate: answers must match across engines.
+  return allOk ? 0 : 1;
 }

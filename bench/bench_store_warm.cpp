@@ -123,7 +123,7 @@ int main() {
                                     {"Tomcatv", full ? 257 : 96, 2},
                                     {"SP", full ? 28 : 16, 1}};
 
-  Engine::Options opts;
+  EngineConfig opts;
   opts.cacheDir = storeDir;
   opts.storeFsync = false;  // throwaway dir: atomicity matters, syncs don't
 

@@ -82,9 +82,9 @@ inline void printThroughput(const std::vector<VersionRow>& rows) {
 /// Session-Engine cache counters of a finished sweep.  Like the throughput
 /// line, the counts may depend on scheduling (in-flight coalescing vs cache
 /// hit), so this is printed outside the byte-compared result tables.  All
-/// four lines ("engine cache", "engine store", "engine native", "engine
-/// multicore") are excluded by CI's determinism greps — keep those patterns
-/// in sync when renaming.
+/// three lines ("engine cache", "engine store", "engine multicore") are
+/// excluded by CI's determinism greps — keep those patterns in sync when
+/// renaming.
 inline void printEngineStats() {
   const Engine::Stats s = sessionEngine().stats();
   auto hm = [](const CacheCounters& c) {
@@ -108,19 +108,6 @@ inline void printEngineStats() {
                 static_cast<unsigned long long>(d.puts),
                 static_cast<unsigned long long>(d.corruptRejected),
                 static_cast<unsigned long long>(d.evictions));
-  }
-  const NativeCounters& nc = s.native;
-  if (nc.nativeRuns != 0 || nc.fallbacks != 0 || nc.compiles != 0) {
-    std::printf("engine native (codegen tier): %llu native runs, "
-                "%llu fallbacks, %llu module-cache hits, %llu store hits, "
-                "%llu compiles (%llu failed), %llu store puts\n",
-                static_cast<unsigned long long>(nc.nativeRuns),
-                static_cast<unsigned long long>(nc.fallbacks),
-                static_cast<unsigned long long>(nc.moduleCacheHits),
-                static_cast<unsigned long long>(nc.storeHits),
-                static_cast<unsigned long long>(nc.compiles),
-                static_cast<unsigned long long>(nc.compileFailures),
-                static_cast<unsigned long long>(nc.storePuts));
   }
 }
 

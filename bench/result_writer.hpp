@@ -9,7 +9,7 @@
 //     ... bench-specific fields, in insertion order ...
 //     "engine_cache": { pipeline/plan/measurement/profile counters,
 //                       "inflight_coalesced": N },   (when an Engine ran)
-//     "wall_seconds": S                              (whole-bench wall clock)
+//     "wall_seconds": S                   (wall clock since process start)
 //   }
 //
 // schema/1 was the ad-hoc per-bench fprintf format of the pre-Engine suite;
@@ -29,13 +29,18 @@
 
 namespace gcr::bench {
 
+/// Taken during static initialization, before main(): every bench builds
+/// its ResultWriter after the timed work, so "wall_seconds" must not count
+/// from the writer's construction.
+inline const std::chrono::steady_clock::time_point kProcessStart =
+    std::chrono::steady_clock::now();
+
 class ResultWriter {
  public:
   static constexpr int kSchemaVersion = 2;
 
   explicit ResultWriter(std::string benchmark)
-      : path_("BENCH_" + benchmark + ".json"),
-        start_(std::chrono::steady_clock::now()) {
+      : path_("BENCH_" + benchmark + ".json") {
     json_.beginObject();
     json_.field("schema", "gcr-bench/2");
     json_.field("schema_version", std::int64_t{kSchemaVersion});
@@ -71,12 +76,12 @@ class ResultWriter {
     json_.endObject();
   }
 
-  /// Close the envelope (stamping the wall clock since construction) and
+  /// Close the envelope (stamping the wall clock since process start) and
   /// write BENCH_<benchmark>.json.
   bool finish() {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
+                                      kProcessStart)
             .count();
     json_.field("wall_seconds", wall, 3);
     json_.endObject();
@@ -99,7 +104,6 @@ class ResultWriter {
 
   JsonWriter json_;
   std::string path_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace gcr::bench

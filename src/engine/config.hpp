@@ -1,7 +1,7 @@
 // EngineConfig — the one configuration record of a gcr::Engine session.
 //
-// Replaces the grown MeasureOptions / Engine::Options / environment-variable
-// trio.  Every knob lives here, each with a builder-style setter, and every
+// Replaces the grown MeasureOptions / per-Engine options /
+// environment-variable trio.  Every knob lives here, each with a builder-style setter, and every
 // environment override resolves through gcr::env (support/env.hpp) with one
 // precedence rule, applied uniformly:
 //
@@ -12,8 +12,8 @@
 //   cacheDir  — cacheDir set wins ("" disables the disk tier even when the
 //               variable is set); else GCR_CACHE_DIR; else "" = no disk tier
 //               (resolveCacheDir()).
-//   engine    — engine set wins; else GCR_ENGINE ("walk"/"tree", "plan",
-//               "native"); else Auto (resolveEngine()).
+//   engine    — engine set wins; else GCR_ENGINE ("walk"/"tree", "plan");
+//               else Auto (resolveEngine()).
 //
 // The resolve*() helpers are the only place this precedence is encoded;
 // Engine reads the environment exactly once, at construction, through them

@@ -47,19 +47,12 @@ struct CachedPlan {
 
 struct Engine::Impl {
   const EngineConfig config;
-  /// Execution engine, resolved once at construction (explicit config field
-  /// wins over GCR_ENGINE; see EngineConfig::resolveEngine).
-  const ExecEngine engineKind;
+  /// GCR_ENGINE=walk (or the explicit config field), resolved once at
+  /// construction; see EngineConfig::resolveEngine.
   const bool forceWalk;
   /// Persistent disk tier; nullptr = memory-only.  Thread-safe internally,
   /// so it is consulted from compute lambdas outside `mutex`.
   const std::unique_ptr<store::ArtifactStore> diskStore;
-  /// Native codegen tier; non-null only when the native engine is selected.
-  /// Shares the disk store, so compiled-plan artifacts persist across
-  /// sessions under the plans' structural keys.  Thread-safe internally; any
-  /// native failure falls back to executePlan, so results are
-  /// engine-independent.
-  const std::unique_ptr<NativeRuntime> native;
 
   mutable std::mutex mutex;
   LruCache<Signature, std::shared_ptr<const PipelineResult>, SignatureHash>
@@ -87,25 +80,16 @@ struct Engine::Impl {
       inflightReplies;
   std::uint64_t inflightCoalesced = 0;
 
-  /// Signatures of plans compiled this session (plans stay in memory; see
-  /// Engine::compiledPlanSignatures).
-  std::vector<Signature> planSignatures;
-
   // Declared last so it is destroyed first: the destructor drains pending
   // jobs, which still touch the caches and maps above.
   ThreadPool pool;
 
   explicit Impl(const EngineConfig& c)
       : config(c),
-        engineKind(c.resolveEngine()),
-        forceWalk(engineKind == ExecEngine::TreeWalk),
+        forceWalk(c.resolveEngine() == ExecEngine::TreeWalk),
         diskStore(store::ArtifactStore::open({.dir = c.resolveCacheDir(),
                                               .fsync = c.storeFsync,
                                               .maxBytes = c.storeMaxBytes})),
-        native(engineKind == ExecEngine::Native
-                   ? std::make_unique<NativeRuntime>(
-                         NativeRuntime::Options{.store = diskStore.get()})
-                   : nullptr),
         pipelines(c.pipelineCacheCapacity),
         plans(c.planCacheCapacity),
         measurements(c.measurementCacheCapacity),
@@ -363,13 +347,6 @@ struct Engine::Impl {
       cp->layout = layout;
       cp->compiled = compilePlan(cp->program, cp->layout,
                                  {.n = n, .timeSteps = timeSteps});
-      {
-        // Plans are in-memory artifacts (they borrow the program and layout
-        // above); record the signature so persistent compiled artifacts can
-        // attach to the same key later.
-        std::lock_guard<std::mutex> lock(mutex);
-        planSignatures.push_back(key);
-      }
       return std::shared_ptr<const CachedPlan>(std::move(cp));
     });
   }
@@ -433,17 +410,6 @@ struct Engine::Impl {
     return mp;
   }
 
-  /// Run a compiled plan through the selected engine: the native tier when
-  /// one is attached (it falls back to executePlan internally on any
-  /// failure), the plan interpreter otherwise.  Bit-identical either way.
-  void runPlan(const AccessPlan& plan, const ExecOptions& opts,
-               InstrSink* sink) {
-    if (native)
-      native->execute(plan, opts, sink);
-    else
-      executePlan(plan, opts, sink);
-  }
-
   Measurement computeMeasurement(const ProgramVersion& version,
                                  const DataLayout& layout, std::int64_t n,
                                  std::uint64_t timeSteps,
@@ -458,8 +424,8 @@ struct Engine::Impl {
     if (!plan->compiled.ok())
       return gcr::measure(version, n, machine, timeSteps, cost);
     MemoryHierarchy hierarchy(machine);
-    runPlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps},
-            &hierarchy);
+    executePlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps},
+                &hierarchy);
     Measurement m;
     m.counts = hierarchy.counts();
     m.cycles = cost.cycles(m.counts);
@@ -488,12 +454,13 @@ struct Engine::Impl {
     if (config.sampleRate >= 1.0) {
       ReuseDistanceSink sink(8);
       sink.reserve(expectedRefs, dataBytes);
-      runPlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps}, &sink);
+      executePlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps},
+                  &sink);
       return sink.takeProfile();
     }
     SampledReuseSink sink(8, config.sampleRate);
     sink.reserve(expectedRefs, dataBytes);
-    runPlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps}, &sink);
+    executePlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps}, &sink);
     return sink.takeProfile();
   }
 
@@ -695,19 +662,13 @@ Engine::Stats Engine::stats() const {
               impl_->symbolics.counters(),    impl_->multicores.counters(),
               impl_->inflightCoalesced,       store::StoreCounters{}};
   }
-  // The store and native runtime have their own locks; never hold both.
+  // The store has its own lock; never hold both.
   if (impl_->diskStore) s.store = impl_->diskStore->counters();
-  if (impl_->native) s.native = impl_->native->counters();
   return s;
 }
 
 std::string Engine::cacheDirInUse() const {
   return impl_->diskStore ? impl_->diskStore->dir() : std::string();
-}
-
-std::vector<Signature> Engine::compiledPlanSignatures() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->planSignatures;
 }
 
 void Engine::clearCaches() {

@@ -43,13 +43,10 @@
 //
 // Configuration is one record, EngineConfig (engine/config.hpp), with one
 // environment-precedence rule: explicit field > GCR_* variable > default.
-// The resolved engine ("walk" bypasses the plan cache and routes
-// measurement through the tree-walking oracle; "native" attaches a
-// NativeRuntime (codegen/native_exec.hpp) that lowers each compiled plan to
-// a shared object — cached in the persistent store under the plan's
-// structural signature — and dispatches trace generation through it,
-// falling back to the plan interpreter on any failure) is fixed at Engine
-// construction.  All engines produce bit-identical simulated fields.
+// The resolved engine is fixed at Engine construction: "walk" bypasses the
+// plan cache and routes measurement through the tree-walking oracle; every
+// other value runs trace generation through the compiled plan.  Both
+// produce bit-identical simulated fields.
 //
 // Persistent disk tier: with EngineConfig::cacheDir (or the GCR_CACHE_DIR
 // environment variable) set, the in-memory caches are backed by an on-disk
@@ -58,21 +55,16 @@
 // both tiers.  Stored values are returned verbatim — a cold *process* with
 // a warm *disk* reproduces the original results bit-for-bit, wall-clock
 // fields included — and any disk-level corruption degrades to a recompute,
-// never a wrong result.  Compiled plans themselves are never persisted
-// (they borrow in-memory pointers); their signatures are recorded, and
-// under GCR_ENGINE=native the runtime persists the corresponding compiled
-// MACHINE CODE (ArtifactKind::CompiledPlan) keyed by plan structure, so a
-// warm store serves native modules with zero compiler invocations.
+// never a wrong result.  Compiled plans themselves are never persisted:
+// they borrow in-memory pointers, and recompiling one is cheap next to the
+// simulation it drives.
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
-#include "codegen/native_exec.hpp"
 #include "engine/config.hpp"
 #include "engine/future.hpp"
 #include "engine/lru_cache.hpp"
@@ -84,9 +76,6 @@ namespace gcr {
 
 class Engine {
  public:
-  /// Historical name of the configuration record; see engine/config.hpp.
-  using Options = EngineConfig;
-
   /// Aggregated cache observability; see LruCache::counters().
   struct Stats {
     CacheCounters pipeline;
@@ -100,8 +89,6 @@ class Engine {
     std::uint64_t inflightCoalesced = 0;
     /// Disk-tier counters (all zero when no persistent store is attached).
     store::StoreCounters store;
-    /// Native-tier counters (all zero unless the native engine is selected).
-    NativeCounters native;
   };
 
   Engine();
@@ -178,12 +165,6 @@ class Engine {
   /// is disabled (or failed to open).
   std::string cacheDirInUse() const;
 
-  /// Signatures of every access plan compiled by this session, in first-
-  /// compilation order.  Plans are in-memory-only artifacts; this is the
-  /// hook for attaching persistent compiled-code artifacts to the same keys
-  /// later (ROADMAP: native codegen).
-  std::vector<Signature> compiledPlanSignatures() const;
-
   /// Drop every cached artifact from the in-memory tier (counters keep
   /// their totals; the persistent store is untouched).
   void clearCaches();
@@ -192,47 +173,5 @@ class Engine {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-namespace detail {
-
-/// Adapt a Future<Reply> to the typed future the pre-redesign submit()
-/// overloads returned.  Lazy (deferred): the copy/clone out of the shared
-/// reply happens on first get().
-template <typename T>
-Future<T> typedFuture(Future<Reply> f) {
-  return Future<T>(std::async(std::launch::deferred, [f = std::move(f)] {
-                     if constexpr (std::is_same_v<T, PipelineResult>)
-                       return replyAs<T>(f.get()).clone();
-                     else
-                       return T(replyAs<T>(f.get()));
-                   }).share());
-}
-
-}  // namespace detail
-
-// --- Deprecated pre-redesign typed submit API ------------------------------
-// Migration: engine.submit(Request(std::move(task))) and
-// replyAs<T>(future.get()); see engine/request.hpp.
-
-[[deprecated("use Engine::submit(Request) + replyAs<Measurement>()")]] inline Future<Measurement>
-submitMeasure(Engine& engine, MeasureTask task) {
-  return detail::typedFuture<Measurement>(engine.submit(std::move(task)));
-}
-
-[[deprecated("use Engine::submit(Request) + replyAs<ReuseProfile>()")]] inline Future<ReuseProfile>
-submitReuse(Engine& engine, ReuseTask task) {
-  return detail::typedFuture<ReuseProfile>(engine.submit(std::move(task)));
-}
-
-[[deprecated("use Engine::submit(Request) + replyAs<PipelineResult>()")]] inline Future<PipelineResult>
-submitPipeline(Engine& engine, PipelineRequest request) {
-  return detail::typedFuture<PipelineResult>(engine.submit(std::move(request)));
-}
-
-[[deprecated("use Engine::submit(Request) + replyAs<SymbolicReuseProfile>()")]] inline Future<SymbolicReuseProfile>
-submitSymbolic(Engine& engine, SymbolicProfileRequest request) {
-  return detail::typedFuture<SymbolicReuseProfile>(
-      engine.submit(std::move(request)));
-}
 
 }  // namespace gcr

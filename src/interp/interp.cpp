@@ -126,10 +126,9 @@ class Executor {
 };
 
 // GCR_ENGINE environment override, consulted only when opts.engine is Auto:
-// "walk"/"tree" forces the tree walker, "plan" requires the plan engine,
-// "native" selects the codegen tier where one is attached (gcr::Engine) and
-// behaves like Auto here.  Cached once per process: execute() is on the hot
-// measurement path and the answer must not change mid-run.
+// "walk"/"tree" forces the tree walker, "plan" requires the plan engine.
+// Cached once per process: execute() is on the hot measurement path and the
+// answer must not change mid-run.
 ExecEngine envEngine() {
   static const ExecEngine cached = execEngineFromToken(env::engineToken());
   return cached;
@@ -140,7 +139,6 @@ ExecEngine envEngine() {
 ExecEngine execEngineFromToken(const std::string& token) {
   if (token == "walk" || token == "tree") return ExecEngine::TreeWalk;
   if (token == "plan") return ExecEngine::Plan;
-  if (token == "native") return ExecEngine::Native;
   return ExecEngine::Auto;
 }
 

@@ -27,17 +27,12 @@ namespace gcr {
 
 /// Which execution engine execute() uses.  Auto prefers the compiled plan
 /// and falls back to the tree walker when the program does not qualify; the
-/// GCR_ENGINE environment variable ("native", "plan", "walk") overrides
-/// Auto.  Native — compiled plans lowered to host machine code — is
-/// serviced by the codegen tier (codegen/native_exec.hpp) when execution is
-/// routed through gcr::Engine or another NativeRuntime holder; the raw
-/// execute() entry point treats Native like Auto (the interp layer stays
-/// independent of the codegen layer, which links against it).
-enum class ExecEngine { Auto, TreeWalk, Plan, Native };
+/// GCR_ENGINE environment variable ("plan", "walk") overrides Auto.
+enum class ExecEngine { Auto, TreeWalk, Plan };
 
 /// Map a GCR_ENGINE token to an engine: "walk"/"tree" force the oracle,
-/// "plan" requires the plan engine, "native" selects the codegen tier where
-/// one is attached.  Anything else (including "") is Auto.  The single place
+/// "plan" requires the plan engine.  Anything else (including "") is Auto.
+/// The single place
 /// the token syntax is defined; callers obtain the raw token from
 /// gcr::env::engineToken() (support/env.hpp).
 ExecEngine execEngineFromToken(const std::string& token);

@@ -66,7 +66,7 @@ class Client {
   /// Static legality lint of a bundled app.
   Result<VerifyReply> verify(const VerifyRequest& req);
 
-  /// Engine/store/native/server counters snapshot (served even while the
+  /// Engine/store/server counters snapshot (served even while the
   /// server drains — the observability ping of `gcr-verify --server`).
   Result<StatsReply> stats();
 

@@ -22,7 +22,8 @@ namespace {
 // v2: StatsReply gained the symbolic-profile cache counters.
 // v3: MulticoreRequest added; StatsReply gained the multicore cache
 //     counters.
-constexpr std::uint32_t kCodecVersion = 3;
+// v4: StatsReply dropped the native-tier counters.
+constexpr std::uint32_t kCodecVersion = 4;
 
 /// Decode wrapper: version word, body, exact-length check, gcr::Error →
 /// nullopt.  The ByteReader bounds-checks every access, so arbitrary byte
@@ -436,9 +437,6 @@ std::vector<std::uint8_t> encodeStatsReply(const StatsReply& r) {
   w.u64(s.hits).u64(s.misses).u64(s.puts).u64(s.putFailures);
   w.u64(s.corruptRejected).u64(s.evictions).u64(s.bytesLoaded);
   w.u64(s.bytesStored);
-  const NativeCounters& n = r.engine.native;
-  w.u64(n.nativeRuns).u64(n.fallbacks).u64(n.moduleCacheHits);
-  w.u64(n.storeHits).u64(n.storePuts).u64(n.compiles).u64(n.compileFailures);
   w.str(r.cacheDir);
   return w.take();
 }
@@ -480,14 +478,6 @@ std::optional<StatsReply> decodeStatsReply(
     s.evictions = r.u64();
     s.bytesLoaded = r.u64();
     s.bytesStored = r.u64();
-    NativeCounters& n = out.engine.native;
-    n.nativeRuns = r.u64();
-    n.fallbacks = r.u64();
-    n.moduleCacheHits = r.u64();
-    n.storeHits = r.u64();
-    n.storePuts = r.u64();
-    n.compiles = r.u64();
-    n.compileFailures = r.u64();
     out.cacheDir = r.str();
     return out;
   });

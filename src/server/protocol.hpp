@@ -60,7 +60,7 @@ enum class MsgKind : std::uint32_t {
   Measure = 3,   ///< optimize + simulate; reply carries a Measurement
   Profile = 4,   ///< optimize + reuse profile; reply carries a ReuseProfile
   Verify = 5,    ///< static legality lint; reply carries diagnostics
-  Stats = 6,     ///< engine/store/native/server counters snapshot
+  Stats = 6,     ///< engine/store/server counters snapshot
   Multicore = 7, ///< optimize + multicore locality analysis; reply carries
                  ///< a MulticoreProfile (ArtifactKind::MulticoreProfile)
 

@@ -3,8 +3,8 @@
 // One Server owns ONE gcr::Engine shared by every connection, so the
 // content-addressed caches, the in-flight submit() deduplication, and the
 // persistent GCR_CACHE_DIR store are *cross-tenant*: two clients requesting
-// the same (program, strategy, size, machine) share one computation, one
-// cached result, and one compiled shared object.  The server adds what the
+// the same (program, strategy, size, machine) share one computation and one
+// cached result.  The server adds what the
 // Engine deliberately does not have — sessions, admission control, and a
 // wire protocol:
 //
@@ -57,7 +57,7 @@ struct ServerOptions {
 
   /// The shared Engine's configuration (cacheDir here is what makes the
   /// persistent store cross-tenant).
-  Engine::Options engine;
+  EngineConfig engine;
 
   /// Admission limits; see the header comment.  Zero = reject everything
   /// (useful in tests), negative is clamped to zero.

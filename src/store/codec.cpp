@@ -14,7 +14,6 @@ namespace {
 constexpr std::uint32_t kMeasurementCodec = 1;
 constexpr std::uint32_t kProfileCodec = 1;
 constexpr std::uint32_t kPipelineCodec = 1;
-constexpr std::uint32_t kCompiledPlanCodec = 1;
 constexpr std::uint32_t kSymbolicProfileCodec = 1;
 constexpr std::uint32_t kMulticoreProfileCodec = 1;
 
@@ -417,34 +416,6 @@ std::optional<PipelineResult> decodePipelineResult(
         res.distributedLoops = static_cast<int>(r.i64());
         res.diagnostics = getDiagnostics(r);
         return res;
-      });
-}
-
-// --- CompiledPlanArtifact --------------------------------------------------
-
-std::vector<std::uint8_t> encodeCompiledPlan(const CompiledPlanArtifact& a) {
-  ByteWriter w;
-  w.u32(kCompiledPlanCodec);
-  w.i64(a.abiVersion);
-  w.str(a.compilerFingerprint);
-  w.u64(a.paramCount);
-  w.u64(a.soBytes.size());
-  w.bytes(a.soBytes);
-  return w.take();
-}
-
-std::optional<CompiledPlanArtifact> decodeCompiledPlan(
-    std::span<const std::uint8_t> bytes) {
-  return decodeOrNull<CompiledPlanArtifact>(
-      bytes, kCompiledPlanCodec, [](ByteReader& r) {
-        CompiledPlanArtifact a;
-        a.abiVersion = static_cast<std::int32_t>(r.i64());
-        a.compilerFingerprint = r.str();
-        a.paramCount = r.u64();
-        const std::size_t n = r.seqLen(1);
-        const auto view = r.bytes(n);
-        a.soBytes.assign(view.begin(), view.end());
-        return a;
       });
 }
 

@@ -15,8 +15,7 @@
 // Compiled access plans are deliberately NOT serialized: a plan borrows
 // pointers into its Program and layout, so persisting it would be a
 // use-after-free by construction.  Plans re-compile per process (cheap next
-// to simulation) and record their signatures (Engine::compiledPlanSignatures)
-// so the native-codegen work can attach compiled artifacts later.
+// to simulation).
 #pragma once
 
 #include <cstdint>
@@ -42,23 +41,6 @@ std::optional<ReuseProfile> decodeReuseProfile(
 
 std::vector<std::uint8_t> encodePipelineResult(const PipelineResult& r);
 std::optional<PipelineResult> decodePipelineResult(
-    std::span<const std::uint8_t> bytes);
-
-/// A natively compiled access plan (ArtifactKind::CompiledPlan): the
-/// shared-object image plus everything needed to decide whether this host
-/// can reuse it.  The fingerprint and ABI version are also folded into the
-/// entry's signature, so a mismatch here indicates corruption or a hash
-/// collision rather than an expected cross-toolchain lookup — loaders
-/// verify anyway and treat a mismatch as a miss.
-struct CompiledPlanArtifact {
-  std::int32_t abiVersion = 0;      ///< codegen/native_abi.hpp version
-  std::string compilerFingerprint;  ///< native_cc.hpp fingerprint
-  std::uint64_t paramCount = 0;     ///< expected params-table size
-  std::vector<std::uint8_t> soBytes;
-};
-
-std::vector<std::uint8_t> encodeCompiledPlan(const CompiledPlanArtifact& a);
-std::optional<CompiledPlanArtifact> decodeCompiledPlan(
     std::span<const std::uint8_t> bytes);
 
 /// Symbolic reuse profiles (ArtifactKind::SymbolicProfile): per-site

@@ -11,7 +11,6 @@ const char* artifactKindName(ArtifactKind k) {
     case ArtifactKind::PipelineResult: return "pipeline";
     case ArtifactKind::Measurement: return "measurement";
     case ArtifactKind::ReuseProfile: return "profile";
-    case ArtifactKind::CompiledPlan: return "compiled_plan";
     case ArtifactKind::SymbolicProfile: return "symbolic_profile";
     case ArtifactKind::MulticoreProfile: return "multicore_profile";
   }

@@ -47,12 +47,8 @@ enum class ArtifactKind : std::uint32_t {
   PipelineResult = 1,
   Measurement = 2,
   ReuseProfile = 3,
-  /// A natively compiled access plan: shared-object bytes plus the compiler
-  /// fingerprint they were built with (store/codec.hpp CompiledPlanArtifact).
-  /// Keyed by the plan's STRUCTURAL signature (emitted-source hash + compiler
-  /// fingerprint + codegen ABI), not the per-size plan key, so one artifact
-  /// serves every problem size of the same plan structure.
-  CompiledPlan = 4,
+  // 4 is retired (it held natively compiled plan modules) and never reused,
+  // so a store written by an older build rejects such entries by kind.
   /// A symbolic reuse profile (analysis/symbolic_reuse.hpp): closed-form
   /// per-site distance/count formulas in N.  Tiny and size-independent —
   /// one artifact answers every problem size of the program it was

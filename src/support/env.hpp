@@ -24,7 +24,7 @@ int threads();
 /// raw value, "" when unset (no disk tier).
 std::string cacheDir();
 
-/// GCR_ENGINE: execution-engine token ("walk"/"tree", "plan", "native").
+/// GCR_ENGINE: execution-engine token ("walk"/"tree", "plan").
 /// Returns the raw value, "" when unset; mapping tokens to ExecEngine is
 /// execEngineFromToken (interp/interp.hpp).
 std::string engineToken();

@@ -39,6 +39,11 @@ struct ThreadPool::Impl {
   std::condition_variable wakeWorkers;
   std::condition_variable batchDone;
 
+  // Held by the outside caller whose parallelFor batch owns the state
+  // below.  The pool has one batch slot, so a concurrent outside caller
+  // that cannot take it runs its batch sequentially instead.
+  std::mutex batchOwner;
+
   // Current batch; guarded by mutex except for the atomic claim counter.
   const std::function<void(std::size_t)>* job = nullptr;
   std::size_t count = 0;
@@ -150,11 +155,15 @@ void ThreadPool::enqueue(std::function<void()> job) {
 void ThreadPool::parallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (!impl_ || insideTask || count == 1) {
-    // Sequential path: threads_ == 1, a nested call, or a trivial batch.
-    // Matches the parallel path's contract: every index runs, then the
-    // first exception (if any) is rethrown — so a throwing task cannot
-    // change which tasks execute depending on the thread count.
+  std::unique_lock<std::mutex> owner;
+  if (impl_ && !insideTask && count > 1)
+    owner = std::unique_lock<std::mutex>(impl_->batchOwner, std::try_to_lock);
+  if (!owner.owns_lock()) {
+    // Sequential path: threads_ == 1, a nested call, a trivial batch, or
+    // another outside caller's batch holding the pool.  Matches the
+    // parallel path's contract: every index runs, then the first exception
+    // (if any) is rethrown — so a throwing task cannot change which tasks
+    // execute depending on the thread count.
     std::exception_ptr error;
     for (std::size_t i = 0; i < count; ++i) {
       try {

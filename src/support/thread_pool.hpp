@@ -39,7 +39,8 @@ class ThreadPool {
   /// done.  Indices are claimed dynamically, so fn must not depend on which
   /// thread runs it.  The first exception thrown by any task is rethrown
   /// here after the whole batch drains.  Calls from inside a task run
-  /// inline (no nested parallelism, no deadlock).
+  /// inline (no nested parallelism, no deadlock), and so does a call from
+  /// an outside thread while another outside thread's batch holds the pool.
   void parallelFor(std::size_t count,
                    const std::function<void(std::size_t)>& fn);
 

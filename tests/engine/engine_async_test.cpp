@@ -35,7 +35,7 @@ TEST(EngineAsync, SubmitResolvesToSyncResult) {
 }
 
 TEST(EngineAsync, InFlightDuplicatesCoalesceUnderFourThreads) {
-  Engine::Options opts;
+  EngineConfig opts;
   opts.threads = 4;
   Engine engine(opts);
   Program p = apps::buildApp("Swim");
@@ -81,7 +81,7 @@ TEST(EngineAsync, PipelineFutureMatchesDirectRun) {
 }
 
 TEST(EngineAsync, MeasureAllKeepsSlotPerTaskOrder) {
-  Engine::Options opts;
+  EngineConfig opts;
   opts.threads = 4;
   Engine engine(opts);
   const MachineConfig m = MachineConfig::origin2000();
@@ -108,7 +108,7 @@ TEST(EngineAsync, MeasureAllKeepsSlotPerTaskOrder) {
 TEST(EngineAsync, BatchResultsIdenticalAcrossThreadCounts) {
   const MachineConfig m = MachineConfig::origin2000();
   auto runBatch = [&](int threads) {
-    Engine::Options opts;
+    EngineConfig opts;
     opts.threads = threads;
     Engine engine(opts);
     std::vector<MeasureTask> tasks;

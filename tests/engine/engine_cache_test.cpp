@@ -91,7 +91,7 @@ TEST(EngineCache, ReuseProfileIsMemoized) {
 }
 
 TEST(EngineCache, CapacityOneMeasurementCacheEvicts) {
-  Engine::Options opts;
+  EngineConfig opts;
   opts.measurementCacheCapacity = 1;
   Engine engine(opts);
   Program p = apps::buildApp("ADI");

@@ -109,7 +109,8 @@ TEST(EngineConfig, EngineTokenSyntaxIsSingleSourced) {
   EXPECT_EQ(execEngineFromToken("walk"), ExecEngine::TreeWalk);
   EXPECT_EQ(execEngineFromToken("tree"), ExecEngine::TreeWalk);
   EXPECT_EQ(execEngineFromToken("plan"), ExecEngine::Plan);
-  EXPECT_EQ(execEngineFromToken("native"), ExecEngine::Native);
+  // The retired native tier's token is just another unknown token.
+  EXPECT_EQ(execEngineFromToken("native"), ExecEngine::Auto);
   EXPECT_EQ(execEngineFromToken(""), ExecEngine::Auto);
   EXPECT_EQ(execEngineFromToken("warp"), ExecEngine::Auto);
 }

@@ -108,7 +108,7 @@ TEST(EngineMulticore, PersistsAcrossEngines) {
 
   std::vector<std::uint8_t> first;
   {
-    Engine::Options opts;
+    EngineConfig opts;
     opts.withCacheDir(dir.path()).withStoreFsync(false);
     Engine warm(opts);
     ProgramVersion v = warm.version(p, Strategy::Fused);
@@ -117,7 +117,7 @@ TEST(EngineMulticore, PersistsAcrossEngines) {
     EXPECT_GT(warm.stats().store.puts, 0u);
   }
 
-  Engine::Options opts;
+  EngineConfig opts;
   opts.withCacheDir(dir.path()).withStoreFsync(false);
   Engine cold(opts);
   ProgramVersion v = cold.version(p, Strategy::Fused);

@@ -4,8 +4,8 @@
 // shutdown contract the server's drain path leans on.  The ordering that
 // makes this safe: the thread pool is the LAST member of Engine::Impl, so
 // it is destroyed FIRST, and its destructor finishes queued jobs while the
-// caches, the in-flight map, the store, and the native tier are all still
-// alive.  ASan (leaks) and TSan (races) run this file in CI.
+// caches, the in-flight map, and the store are all still alive.  ASan
+// (leaks) and TSan (races) run this file in CI.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -29,7 +29,7 @@ TEST(EngineShutdown, DestructionFulfillsEveryInFlightFuture) {
   const MachineConfig m = MachineConfig::origin2000();
   std::vector<Future<Reply>> futures;
   {
-    Engine::Options opts;
+    EngineConfig opts;
     opts.threads = 4;
     Engine engine(opts);
     Program p = apps::buildApp("ADI");
@@ -71,7 +71,7 @@ TEST(EngineShutdown, DestructionWithDroppedFuturesLeaksNothing) {
   // finishes the jobs, and the shared state of each abandoned future must
   // be released (ASan flags the leak otherwise).
   const MachineConfig m = MachineConfig::origin2000();
-  Engine::Options opts;
+  EngineConfig opts;
   opts.threads = 4;
   Engine engine(opts);
   Program p = apps::buildApp("Swim");
@@ -90,7 +90,7 @@ TEST(EngineShutdown, RepeatedConstructDestroyUnderLoadIsStable) {
   const MachineConfig m = MachineConfig::origin2000();
   Program p = apps::buildApp("Tomcatv");
   for (int round = 0; round < 6; ++round) {
-    Engine::Options opts;
+    EngineConfig opts;
     opts.threads = 2;
     Engine engine(opts);
     std::vector<Future<Reply>> futures;
@@ -114,7 +114,7 @@ TEST(EngineShutdown, DestructionWithPersistentStoreFlushesCleanly) {
       ::testing::UnitTest::GetInstance()->current_test_info();
   const std::string dir = ::testing::TempDir() + std::string(info->name());
   {
-    Engine::Options opts;
+    EngineConfig opts;
     opts.threads = 4;
     opts.cacheDir = dir;
     opts.storeFsync = false;

@@ -10,6 +10,7 @@
 #include "apps/registry.hpp"
 #include "common/random_program.hpp"
 #include "driver/pipeline.hpp"
+#include "fusion/fusion.hpp"
 #include "interp/interp.hpp"
 #include "ir/builder.hpp"
 
@@ -76,9 +77,13 @@ TEST(PlanDifferential, RegistryAppsTransformedAndRegrouped) {
 }
 
 TEST(PlanDifferential, TimeStepsRepeatIdentically) {
-  Program p = apps::buildApp("ADI");
-  expectEnginesIdentical(makeVersion(p, Strategy::NoOpt), 20, /*timeSteps=*/3);
-  expectEnginesIdentical(makeVersion(p, Strategy::FusedRegrouped), 20, /*timeSteps=*/3);
+  for (const auto& app : apps::evaluationApps()) {
+    SCOPED_TRACE(app.name);
+    Program p = apps::buildApp(app.name);
+    const std::int64_t n = app.name == "SP" ? 10 : 20;
+    expectEnginesIdentical(makeVersion(p, Strategy::NoOpt), n, /*timeSteps=*/3);
+    expectEnginesIdentical(makeVersion(p, Strategy::FusedRegrouped), n, /*timeSteps=*/3);
+  }
 }
 
 TEST(PlanDifferential, ReversedLoops) {
@@ -116,6 +121,37 @@ TEST(PlanDifferential, GuardsAndStatementEmbedding) {
     // Third member unguarded: the active set changes across sub-ranges.
     expectEnginesIdentical(p, contiguousLayout(p, 24), {.n = 24});
   }
+}
+
+TEST(PlanDifferential, FusedBorderStatementsAndReversedPairs) {
+  // Figure 4(a)-style fusion (guards plus embedded border statements) and a
+  // backward recurrence pair, each before and after fuseProgram.
+  ProgramBuilder b("fig4a");
+  ArrayId a = b.array("A", {AffineN::N() + AffineN(1)});
+  ArrayId c = b.array("B", {AffineN::N() + AffineN(1)});
+  b.loop("i", 3, AffineN::N() - AffineN(2),
+         [&](IxVar i) { b.assign(b.ref(a, {i}), {b.ref(a, {i - 1})}); });
+  b.assign(b.ref(a, {cst(1)}), {b.ref(a, {cst(AffineN::N())})});
+  b.assign(b.ref(a, {cst(2)}), {});
+  b.loop("i", 3, AffineN::N(),
+         [&](IxVar i) { b.assign(b.ref(c, {i}), {b.ref(a, {i - 2})}); });
+  const Program fig4a = fuseProgram(b.take());
+  expectEnginesIdentical(fig4a, contiguousLayout(fig4a, 33),
+                         {.n = 33, .timeSteps = 3});
+
+  ProgramBuilder r("reversed");
+  ArrayId ra = r.array("A", {AffineN::N() + AffineN(2)});
+  ArrayId rc = r.array("B", {AffineN::N() + AffineN(2)});
+  r.loopDown("i", 1, AffineN::N(),
+             [&](IxVar i) { r.assign(r.ref(ra, {i}), {r.ref(ra, {i + 1})}); });
+  r.loopDown("i", 1, AffineN::N(),
+             [&](IxVar i) { r.assign(r.ref(rc, {i}), {r.ref(ra, {i})}); });
+  const Program reversed = r.take();
+  const Program fused = fuseProgram(reversed);
+  expectEnginesIdentical(reversed, contiguousLayout(reversed, 25),
+                         {.n = 25, .timeSteps = 3});
+  expectEnginesIdentical(fused, contiguousLayout(fused, 25),
+                         {.n = 25, .timeSteps = 3});
 }
 
 TEST(PlanDifferential, OuterDepthGuardOnInnerStatement) {

@@ -187,7 +187,7 @@ TEST(Protocol, StatsReplyRoundTrip) {
   r.engine.symbolic.misses = 1;
   r.engine.inflightCoalesced = 4;
   r.engine.store.puts = 9;
-  r.engine.native.compiles = 2;
+  r.engine.store.bytesStored = 2;
   r.cacheDir = "/tmp/store";
   const auto back = decodeStatsReply(encodeStatsReply(r));
   ASSERT_TRUE(back.has_value());
@@ -201,7 +201,7 @@ TEST(Protocol, StatsReplyRoundTrip) {
   EXPECT_EQ(back->engine.symbolic.misses, 1u);
   EXPECT_EQ(back->engine.inflightCoalesced, 4u);
   EXPECT_EQ(back->engine.store.puts, 9u);
-  EXPECT_EQ(back->engine.native.compiles, 2u);
+  EXPECT_EQ(back->engine.store.bytesStored, 2u);
   EXPECT_EQ(back->cacheDir, "/tmp/store");
 }
 

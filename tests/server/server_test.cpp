@@ -212,6 +212,57 @@ TEST(Server, MulticoreMatchesDirectEngineAndWarmDuplicateIsVerbatim) {
   EXPECT_EQ(stats->engine.multicore.hits, 1u);
 }
 
+TEST(Server, ConcurrentMulticoreSessionsOnAThreadedEngineMatchDirectRuns) {
+  // Each session thread runs its multicore request on the shared Engine,
+  // whose per-core simulations fan out on the Engine's 4-thread pool, so
+  // several sessions enter the pool at once.  Every reply must still equal
+  // a direct run of the same request.
+  ServerOptions opts;
+  opts.engine.threads = 4;
+  TestServer ts(opts);
+  ASSERT_NE(ts.server, nullptr);
+  constexpr int kSessions = 6;
+  constexpr int kRounds = 3;
+  auto requestFor = [](int session, int round) {
+    MulticoreRequest req;
+    req.spec.app = session % 2 == 0 ? "Swim" : "Tomcatv";
+    req.spec.strategy = Strategy::Fused;
+    req.n = 24 + 2 * (session * kRounds + round);  // a distinct key each
+    req.topology = CacheTopology::symmetric(4).scaledDown(16);
+    return req;
+  };
+
+  std::vector<Result<MulticoreProfile>> wire(kSessions * kRounds);
+  std::vector<std::thread> sessions;
+  for (int s = 0; s < kSessions; ++s)
+    sessions.emplace_back([&, s] {
+      auto c = Client::connect(ts.socketPath, "tenant-" + std::to_string(s));
+      if (c == nullptr) return;
+      for (int r = 0; r < kRounds; ++r)
+        wire[static_cast<std::size_t>(s * kRounds + r)] =
+            c->multicore(requestFor(s, r));
+    });
+  for (std::thread& t : sessions) t.join();
+
+  Engine direct(EngineConfig().withThreads(1));
+  for (int s = 0; s < kSessions; ++s)
+    for (int r = 0; r < kRounds; ++r) {
+      const Result<MulticoreProfile>& got =
+          wire[static_cast<std::size_t>(s * kRounds + r)];
+      ASSERT_TRUE(got.ok()) << got.message;
+      const MulticoreRequest req = requestFor(s, r);
+      MulticoreProfile want = direct.multicoreProfile(
+          direct.version(apps::buildApp(req.spec.app), req.spec.strategy,
+                         req.spec.versionSpec()),
+          req.n, req.topology, req.timeSteps);
+      MulticoreProfile have = *got;
+      want.wallSeconds = have.wallSeconds = 0.0;
+      EXPECT_EQ(store::encodeMulticoreProfile(have),
+                store::encodeMulticoreProfile(want))
+          << "session " << s << " round " << r;
+    }
+}
+
 TEST(Server, MulticoreBadGeometryIsBadRequestNotACrash) {
   TestServer ts;
   ASSERT_NE(ts.server, nullptr);

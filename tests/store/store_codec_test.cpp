@@ -100,49 +100,6 @@ TEST(StoreCodec, ProfileRoundTripIsExact) {
   EXPECT_EQ(encodeReuseProfile(*back), bytes);
 }
 
-TEST(StoreCodec, CompiledPlanRoundTripIsExact) {
-  CompiledPlanArtifact a;
-  a.abiVersion = 3;
-  a.compilerFingerprint = "cc (test) 1.2.3|-O2 -shared -fPIC|x86_64";
-  a.paramCount = 137;
-  a.soBytes.resize(4096);
-  SplitMix64 rng(0xC0DE);
-  for (auto& b : a.soBytes) b = static_cast<std::uint8_t>(rng.next());
-
-  const auto bytes = encodeCompiledPlan(a);
-  const auto back = decodeCompiledPlan(bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->abiVersion, a.abiVersion);
-  EXPECT_EQ(back->compilerFingerprint, a.compilerFingerprint);
-  EXPECT_EQ(back->paramCount, a.paramCount);
-  EXPECT_EQ(back->soBytes, a.soBytes);
-  EXPECT_EQ(encodeCompiledPlan(*back), bytes);  // canonical
-
-  // Empty image round-trips too (degenerate but representable).
-  CompiledPlanArtifact empty;
-  const auto eb = encodeCompiledPlan(empty);
-  const auto eback = decodeCompiledPlan(eb);
-  ASSERT_TRUE(eback.has_value());
-  EXPECT_TRUE(eback->soBytes.empty());
-  EXPECT_TRUE(eback->compilerFingerprint.empty());
-}
-
-TEST(StoreCodec, CompiledPlanDecodeRejectsTruncationAndTrailingBytes) {
-  CompiledPlanArtifact a;
-  a.abiVersion = 1;
-  a.compilerFingerprint = "fp";
-  a.paramCount = 4;
-  a.soBytes = {1, 2, 3, 4, 5, 6, 7, 8};
-  const auto bytes = encodeCompiledPlan(a);
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    const std::span<const std::uint8_t> prefix(bytes.data(), cut);
-    EXPECT_FALSE(decodeCompiledPlan(prefix).has_value()) << "cut " << cut;
-  }
-  auto extended = bytes;
-  extended.push_back(0);
-  EXPECT_FALSE(decodeCompiledPlan(extended).has_value());
-}
-
 TEST(StoreCodec, PipelineResultRoundTripOnRandomCorpus) {
   testing::RandomProgramOptions opts;
   opts.allowTwoDim = true;

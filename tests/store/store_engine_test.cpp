@@ -49,8 +49,8 @@ bool sameProfile(const ReuseProfile& a, const ReuseProfile& b) {
   return true;
 }
 
-Engine::Options optionsWithDir(const std::string& dir) {
-  Engine::Options o;
+EngineConfig optionsWithDir(const std::string& dir) {
+  EngineConfig o;
   o.cacheDir = dir;
   return o;
 }
@@ -92,7 +92,7 @@ TEST(StoreEngine, DiskTierMatchesStorelessEngine) {
   testing::ScopedTempDir dir("gcr-engine-store");
   const MachineConfig machine = MachineConfig::origin2000();
 
-  Engine::Options none;
+  EngineConfig none;
   none.cacheDir = "";  // explicitly no disk tier
   Engine bare(none);
   Engine stored(optionsWithDir(dir.path()));
@@ -155,7 +155,7 @@ TEST(StoreEngine, CacheDirEnvironmentVariableIsPickedUp) {
     Engine byEnv;  // Options::cacheDir nullopt → environment
     EXPECT_EQ(byEnv.cacheDirInUse(), dir.path());
 
-    Engine::Options off;
+    EngineConfig off;
     off.cacheDir = "";  // explicit empty string beats the environment
     Engine disabled(off);
     EXPECT_EQ(disabled.cacheDirInUse(), "");
@@ -173,9 +173,9 @@ TEST(StoreEngine, PlanSignaturesAreRecordedNotPersisted) {
 
   Engine warm(optionsWithDir(dir.path()));
   (void)warm.measure(warm.version(p, Strategy::NoOpt), 16, machine);
-  // The plan was compiled this session and its key recorded for the future
-  // native-codegen artifact tier...
-  EXPECT_FALSE(warm.compiledPlanSignatures().empty());
+  // The plan was compiled this session and cached in memory...
+  EXPECT_EQ(warm.stats().plan.misses, 1u);
+  EXPECT_EQ(warm.stats().plan.entries, 1u);
   // ...but nothing plan-shaped was written to disk: every stored object is
   // one of the three serializable kinds.
   store::ArtifactStore::Options sopts;

@@ -342,6 +342,20 @@ TEST_F(StoreCorruption, FutureFormatVersionIsNotParsed) {
   expectRejectedThenHealed();
 }
 
+TEST_F(StoreCorruption, RetiredKindIsNotParsed) {
+  // Kind 4 (native plan modules) is retired and never reused, so an entry a
+  // store written by an older build still holds is rejected by kind.  Same
+  // construction as above: valid checksums, only the kind is stale.
+  auto bytes = readFile();
+  EntryHeader h;
+  ASSERT_TRUE(decodeHeader(bytes, &h));
+  h.kind = static_cast<ArtifactKind>(4);
+  const auto header = encodeHeader(h);
+  std::copy(header.begin(), header.end(), bytes.begin());
+  writeFile(bytes);
+  expectRejectedThenHealed();
+}
+
 TEST_F(StoreCorruption, KindSwapViaRename) {
   // Adversarial rename: serve a measurement file under a profile name.  The
   // header's kind field (and the name-independent validation) must catch it.
@@ -397,14 +411,14 @@ TEST(StoreFault, CorruptedStoreDegradesToNoStoreResults) {
   };
 
   // Reference: no store at all.
-  Engine::Options noStore;
+  EngineConfig noStore;
   noStore.cacheDir = "";
   Engine reference(noStore);
   const Measurement want = reference.measure(
       reference.version(p, Strategy::FusedRegrouped), 16, machine);
 
   // Warm the disk.
-  Engine::Options withStore;
+  EngineConfig withStore;
   withStore.cacheDir = dir.path();
   {
     Engine warm(withStore);

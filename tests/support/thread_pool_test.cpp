@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace gcr {
@@ -82,6 +83,27 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   });
   for (std::size_t i = 0; i < hits.size(); ++i)
     ASSERT_EQ(hits[i].load(), 1) << "slot " << i;
+}
+
+TEST(ThreadPool, ConcurrentOutsideCallersEachRunTheirBatchOnce) {
+  // Threads outside the pool (e.g. server sessions sharing one Engine) call
+  // parallelFor at the same time: each caller's batch must still run every
+  // one of its own indices exactly once.
+  ThreadPool pool(4);
+  constexpr std::size_t kCallers = 3;
+  constexpr std::size_t kCount = 512;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::atomic<int>> hits(kCallers * kCount);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c)
+      callers.emplace_back([&, c] {
+        pool.parallelFor(kCount, [&](std::size_t i) { ++hits[c * kCount + i]; });
+      });
+    for (std::thread& t : callers) t.join();
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " caller "
+                                   << i / kCount << " index " << i % kCount;
+  }
 }
 
 TEST(ThreadPool, EnqueueRunsEveryJob) {

@@ -63,7 +63,7 @@ void usage() {
       "                    entry inventory (full validation scan) as JSON\n"
       "  --server <addr>   ping a running gcr-server (unix:<path>,\n"
       "                    tcp:<host>:<port>, or a bare socket path) and\n"
-      "                    print its engine/store/native counters as JSON\n");
+      "                    print its engine/store counters as JSON\n");
 }
 
 struct Options {
@@ -486,7 +486,7 @@ int runServerPing(const std::string& address) {
 
   JsonWriter j;
   j.beginObject();
-  j.field("schema", "gcr-server-stats/1");
+  j.field("schema", "gcr-server-stats/2");
   j.field("address", std::string_view(address));
   j.field("server_name", std::string_view(client->serverName()));
   j.field("cache_dir", std::string_view(stats->cacheDir));
@@ -533,16 +533,6 @@ int runServerPing(const std::string& address) {
   j.field("evictions", e.store.evictions);
   j.field("bytes_loaded", e.store.bytesLoaded);
   j.field("bytes_stored", e.store.bytesStored);
-  j.endObject();
-
-  j.key("native").beginObject();
-  j.field("native_runs", e.native.nativeRuns);
-  j.field("fallbacks", e.native.fallbacks);
-  j.field("module_cache_hits", e.native.moduleCacheHits);
-  j.field("store_hits", e.native.storeHits);
-  j.field("store_puts", e.native.storePuts);
-  j.field("compiles", e.native.compiles);
-  j.field("compile_failures", e.native.compileFailures);
   j.endObject();
 
   j.endObject();
