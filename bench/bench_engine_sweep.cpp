@@ -11,15 +11,14 @@
 //
 // The binary exits non-zero when any gate fails, so it doubles as a smoke
 // test for the Engine in CI.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hpp"
 #include "bench_util.hpp"
+#include "store/codec.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -67,25 +66,13 @@ SweepResult runSweep(Engine& engine, const std::vector<AppRun>& runs) {
   return r;
 }
 
+// Cached results are returned verbatim: their store encodings must match.
 bool identical(const Measurement& a, const Measurement& b) {
-  // Cached results are returned verbatim, so even the wall-clock fields of
-  // the cold simulation must survive the round trip bit-for-bit.
-  return std::memcmp(&a.counts, &b.counts, sizeof a.counts) == 0 &&
-         a.cycles == b.cycles &&
-         a.memoryTrafficBytes == b.memoryTrafficBytes &&
-         a.effectiveBandwidth == b.effectiveBandwidth &&
-         a.wallSeconds == b.wallSeconds &&
-         a.accessesPerSecond == b.accessesPerSecond;
+  return store::encodeMeasurement(a) == store::encodeMeasurement(b);
 }
 
 bool identical(const ReuseProfile& a, const ReuseProfile& b) {
-  if (a.accesses != b.accesses || a.distinctData != b.distinctData)
-    return false;
-  const int top =
-      std::max(a.histogram.highestNonEmptyBin(), b.histogram.highestNonEmptyBin());
-  for (int bin = 0; bin <= top; ++bin)
-    if (a.histogram.binCount(bin) != b.histogram.binCount(bin)) return false;
-  return true;
+  return store::encodeReuseProfile(a) == store::encodeReuseProfile(b);
 }
 
 }  // namespace

@@ -17,24 +17,24 @@ int main() {
   const std::int64_t n = bench::fullSize() ? 2048 : 1024;
   const MachineConfig machine = MachineConfig::origin2000();
 
-  std::vector<bench::VersionRow> rows = bench::measureVersions(
-      {"original", "+ computation fusion", "+ data regrouping"},
-      [&] {
-        std::vector<MeasureTask> t;
-        t.push_back({.version = engine.version(p, Strategy::NoOpt),
-                     .n = n,
-                     .machine = machine});
-        t.push_back({.version = engine.version(p, Strategy::Fused),
-                     .n = n,
-                     .machine = machine});
-        t.push_back({.version = engine.version(p, Strategy::FusedRegrouped),
-                     .n = n,
-                     .machine = machine});
-        return t;
-      }());
+  const bench::Sweep sweep = bench::measureSweep([&] {
+    std::vector<MeasureTask> t;
+    t.push_back({.version = engine.version(p, Strategy::NoOpt),
+                 .n = n,
+                 .machine = machine});
+    t.push_back({.version = engine.version(p, Strategy::Fused),
+                 .n = n,
+                 .machine = machine});
+    t.push_back({.version = engine.version(p, Strategy::FusedRegrouped),
+                 .n = n,
+                 .machine = machine});
+    return t;
+  }());
+  const std::vector<bench::VersionRow> rows = bench::versionRows(
+      {"original", "+ computation fusion", "+ data regrouping"}, sweep);
   bench::printFig10Panel("ADI", n, machine, rows);
   bench::writeVersionRowsJson("fig10_adi", "ADI", n, machine, rows);
-  bench::printThroughput(rows);
+  bench::printThroughput(sweep);
   bench::printEngineStats();
   return 0;
 }

@@ -37,31 +37,31 @@ int main() {
   machine.tlbEntries = 32;
 
   Engine& engine = bench::sessionEngine();
-  std::vector<bench::VersionRow> rows = bench::measureVersions(
+  const bench::Sweep sweep = bench::measureSweep([&] {
+    std::vector<MeasureTask> t;
+    t.push_back({.version = engine.version(p, Strategy::NoOpt),
+                 .n = n,
+                 .machine = machine});
+    t.push_back({.version = engine.version(p, Strategy::Fused,
+                                           {.fusionLevels = 1}),
+                 .n = n,
+                 .machine = machine});
+    t.push_back({.version = engine.version(p, Strategy::Fused,
+                                           {.fusionLevels = 4}),
+                 .n = n,
+                 .machine = machine});
+    t.push_back({.version = engine.version(p, Strategy::FusedRegrouped,
+                                           {.fusionLevels = 4}),
+                 .n = n,
+                 .machine = machine});
+    return t;
+  }());
+  const std::vector<bench::VersionRow> rows = bench::versionRows(
       {"original", "1-level fusion", "3-level fusion",
-       "3-level fusion + grouping"},
-      [&] {
-        std::vector<MeasureTask> t;
-        t.push_back({.version = engine.version(p, Strategy::NoOpt),
-                     .n = n,
-                     .machine = machine});
-        t.push_back({.version = engine.version(p, Strategy::Fused,
-                                               {.fusionLevels = 1}),
-                     .n = n,
-                     .machine = machine});
-        t.push_back({.version = engine.version(p, Strategy::Fused,
-                                               {.fusionLevels = 4}),
-                     .n = n,
-                     .machine = machine});
-        t.push_back({.version = engine.version(p, Strategy::FusedRegrouped,
-                                               {.fusionLevels = 4}),
-                     .n = n,
-                     .machine = machine});
-        return t;
-      }());
+       "3-level fusion + grouping"}, sweep);
   bench::printFig10Panel("NAS/SP", n, machine, rows);
   bench::writeVersionRowsJson("fig10_sp", "NAS/SP", n, machine, rows);
-  bench::printThroughput(rows);
+  bench::printThroughput(sweep);
   bench::printEngineStats();
 
   // ---- Section 4.4 structural numbers.

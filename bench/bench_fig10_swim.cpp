@@ -42,15 +42,16 @@ int main() {
                      .machine = machine,
                      .timeSteps = 2});
   }
-  std::vector<bench::VersionRow> rows =
-      bench::measureVersions(std::move(names), std::move(tasks));
+  const bench::Sweep sweep = bench::measureSweep(tasks);
+  const std::vector<bench::VersionRow> rows =
+      bench::versionRows(std::move(names), sweep);
   for (std::size_t m = 0; m < machines.size(); ++m)
     bench::printFig10Panel(
         "Swim", n, machines[m],
         {rows.begin() + static_cast<std::ptrdiff_t>(3 * m),
          rows.begin() + static_cast<std::ptrdiff_t>(3 * m + 3)});
   bench::writeVersionRowsJson("fig10_swim", "Swim", n, machines[1], rows);
-  bench::printThroughput(rows);
+  bench::printThroughput(sweep);
   bench::printEngineStats();
   return 0;
 }

@@ -20,27 +20,27 @@ int main() {
   const std::int64_t n = bench::fullSize() ? 513 : 320;
   const MachineConfig machine = MachineConfig::origin2000();
 
-  std::vector<bench::VersionRow> rows = bench::measureVersions(
-      {"original", "+ computation fusion", "+ data regrouping"},
-      [&] {
-        std::vector<MeasureTask> t;
-        t.push_back({.version = engine.version(p, Strategy::NoOpt),
-                     .n = n,
-                     .machine = machine,
-                     .timeSteps = 2});
-        t.push_back({.version = engine.version(p, Strategy::Fused),
-                     .n = n,
-                     .machine = machine,
-                     .timeSteps = 2});
-        t.push_back({.version = engine.version(p, Strategy::FusedRegrouped),
-                     .n = n,
-                     .machine = machine,
-                     .timeSteps = 2});
-        return t;
-      }());
+  const bench::Sweep sweep = bench::measureSweep([&] {
+    std::vector<MeasureTask> t;
+    t.push_back({.version = engine.version(p, Strategy::NoOpt),
+                 .n = n,
+                 .machine = machine,
+                 .timeSteps = 2});
+    t.push_back({.version = engine.version(p, Strategy::Fused),
+                 .n = n,
+                 .machine = machine,
+                 .timeSteps = 2});
+    t.push_back({.version = engine.version(p, Strategy::FusedRegrouped),
+                 .n = n,
+                 .machine = machine,
+                 .timeSteps = 2});
+    return t;
+  }());
+  const std::vector<bench::VersionRow> rows = bench::versionRows(
+      {"original", "+ computation fusion", "+ data regrouping"}, sweep);
   bench::printFig10Panel("Tomcatv", n, machine, rows);
   bench::writeVersionRowsJson("fig10_tomcatv", "Tomcatv", n, machine, rows);
-  bench::printThroughput(rows);
+  bench::printThroughput(sweep);
   bench::printEngineStats();
   return 0;
 }

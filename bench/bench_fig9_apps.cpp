@@ -52,7 +52,8 @@ int main() {
                      .machine = machine,
                      .timeSteps = a.steps});
   }
-  const std::vector<Measurement> ms = engine.measureAll(tasks);
+  const bench::Sweep sweep = bench::measureSweep(tasks);
+  const std::vector<Measurement>& ms = sweep.results;
 
   // Element-level reuse profiles of the originals, merged into one
   // suite-wide histogram below.  The NoOpt versions come straight from the
@@ -114,9 +115,7 @@ int main() {
   w.addEngineStats(engine.stats());
   w.finish();
 
-  std::vector<bench::VersionRow> rows;
-  for (std::size_t i = 0; i < tasks.size(); ++i) rows.push_back({"", ms[i]});
-  bench::printThroughput(rows);
+  bench::printThroughput(sweep);
   bench::printEngineStats();
   return 0;
 }

@@ -8,11 +8,9 @@
 //     for the same catalog of work, the shared Engine's measurement-cache
 //     hits + in-flight coalescing must be > 0 across >= 2 tenants;
 //   * wire results must be byte-identical to a direct in-process Engine run
-//     of the same work (the per-run wall-clock observability fields of a
-//     fresh computation are masked; see below);
+//     of the same work (the reply payload is the store codec);
 //   * a warm duplicate request must be answered with the *verbatim* bytes
-//     of the first reply (cache replays are bit-exact, wall fields
-//     included);
+//     of the first reply (cache replays are bit-exact);
 //   * SIGTERM while a request is in flight must drain cleanly: the client
 //     still gets a well-formed reply (the result, or an explicit
 //     ShuttingDown error), and the daemon exits 0.
@@ -27,7 +25,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -88,16 +85,6 @@ MeasureRequest measureRequestFor(const Spec& s, const MachineConfig& machine) {
   req.timeSteps = 1;
   req.machine = machine;
   return req;
-}
-
-/// Everything but the per-run wall-clock observability fields; a fresh
-/// computation's wallSeconds/accessesPerSecond differ run to run by design,
-/// while all simulation outputs are deterministic.
-bool identicalMasked(const Measurement& a, const Measurement& b) {
-  return std::memcmp(&a.counts, &b.counts, sizeof a.counts) == 0 &&
-         a.cycles == b.cycles &&
-         a.memoryTrafficBytes == b.memoryTrafficBytes &&
-         a.effectiveBandwidth == b.effectiveBandwidth;
 }
 
 struct ClientStats {
@@ -325,14 +312,13 @@ int main(int argc, char** argv) {
           direct.version(apps::buildApp(s.app), s.strategy,
                          spec.versionSpec()),
           s.n, machine, 1, {});
-      if (!identicalMasked(*wire, local)) {
+      if (first != store::encodeMeasurement(local)) {
         std::fprintf(stderr, "byte-identity FAILED: %s/%d\n", s.app,
                      static_cast<int>(s.strategy));
         byteIdentical = false;
         break;
       }
-      // Warm duplicate: the repeat must replay the first reply verbatim —
-      // wall-clock fields included, because a cache hit is bit-exact.
+      // Warm duplicate: the repeat must replay the first reply verbatim.
       const Result<Measurement> dup =
           check->measure(measureRequestFor(s, machine));
       if (!dup.ok() || check->lastPayload() != first) {

@@ -6,8 +6,8 @@
 // Three gates (all also recorded in BENCH_store.json for CI):
 //   * the warm-disk pass must be at least 5x faster than the cold-disk pass
 //     (mmap load + checksum beats recomputation by a wide margin);
-//   * every warm result must be byte-identical to its cold counterpart,
-//     wall-clock fields included (stored artifacts are returned verbatim);
+//   * every warm result must be byte-identical to its cold counterpart
+//     (stored artifacts are returned verbatim);
 //   * the warm pass must actually hit the disk tier (store hits > 0, zero
 //     corruption rejects).
 //
@@ -18,13 +18,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "apps/registry.hpp"
 #include "bench_util.hpp"
+#include "store/codec.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -72,25 +72,13 @@ SweepResult runSweep(Engine& engine, const std::vector<AppRun>& runs) {
   return r;
 }
 
+// A disk hit replays the stored artifact verbatim: the encodings match.
 bool identical(const Measurement& a, const Measurement& b) {
-  // A disk hit replays the stored artifact verbatim, so even the wall-clock
-  // fields of the original simulation must survive the round trip.
-  return std::memcmp(&a.counts, &b.counts, sizeof a.counts) == 0 &&
-         a.cycles == b.cycles &&
-         a.memoryTrafficBytes == b.memoryTrafficBytes &&
-         a.effectiveBandwidth == b.effectiveBandwidth &&
-         a.wallSeconds == b.wallSeconds &&
-         a.accessesPerSecond == b.accessesPerSecond;
+  return store::encodeMeasurement(a) == store::encodeMeasurement(b);
 }
 
 bool identical(const ReuseProfile& a, const ReuseProfile& b) {
-  if (a.accesses != b.accesses || a.distinctData != b.distinctData)
-    return false;
-  const int top = std::max(a.histogram.highestNonEmptyBin(),
-                           b.histogram.highestNonEmptyBin());
-  for (int bin = 0; bin <= top; ++bin)
-    if (a.histogram.binCount(bin) != b.histogram.binCount(bin)) return false;
-  return true;
+  return store::encodeReuseProfile(a) == store::encodeReuseProfile(b);
 }
 
 }  // namespace

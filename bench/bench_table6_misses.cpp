@@ -64,7 +64,8 @@ int main() {
                      .machine = machinePf,
                      .timeSteps = run.steps});
   }
-  const std::vector<Measurement> results = engine.measureAll(tasks);
+  const bench::Sweep sweep = bench::measureSweep(tasks);
+  const std::vector<Measurement>& results = sweep.results;
 
   for (std::size_t r = 0; r < std::size(runs); ++r) {
     const AppRun& run = runs[r];
@@ -105,18 +106,8 @@ int main() {
   // Reorder to match header (SGI/New per level already interleaved).
   t.addRow({avg[0], avg[1], avg[2], avg[3], avg[4], avg[5], avg[6]});
   std::printf("%s", t.render().c_str());
-  {
-    std::uint64_t refs = 0;
-    double seconds = 0;
-    for (const Measurement& m : results) {
-      refs += m.counts.refs;
-      seconds += m.wallSeconds;
-    }
-    std::printf("\nanalysis throughput: %.1f Maccesses/s (%llu refs, "
-                "%.2f s simulation time)\n",
-                seconds > 0 ? static_cast<double>(refs) / seconds / 1e6 : 0.0,
-                static_cast<unsigned long long>(refs), seconds);
-  }
+  std::printf("\n");
+  bench::printThroughput(sweep);
 
   const char* levels[3] = {"L1", "L2", "TLB"};
   std::printf("\naverage miss reductions (1 - normalized):\n");

@@ -7,6 +7,7 @@
 // GCR_FULL_SIZE=1 to run the paper's published input sizes.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,40 +43,55 @@ inline void printHeader(const std::string& title, const std::string& paper) {
   std::printf("============================================================\n");
 }
 
+/// A measured sweep: one result per task, in task order, plus the wall
+/// time of the whole Engine::measureAll batch — what this process actually
+/// spent, which is near zero when the session answers from its caches.
+struct Sweep {
+  std::vector<Measurement> results;
+  double seconds = 0;
+};
+
+/// Run `tasks` through the session Engine's scheduler (GCR_THREADS workers;
+/// result i <- task i, so the printed tables are byte-identical for every
+/// thread count; repeated tasks are served from the measurement cache).
+inline Sweep measureSweep(const std::vector<MeasureTask>& tasks) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Sweep s;
+  s.results = sessionEngine().measureAll(tasks);
+  s.seconds = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  return s;
+}
+
 /// One bar group of Figure 10: a named version with its measurement.
 struct VersionRow {
   std::string name;
   Measurement m;
 };
 
-/// Run the named simulations of one panel through the session Engine's
-/// scheduler (GCR_THREADS workers; row i <- task i, so the printed tables
-/// are byte-identical for every thread count; repeated tasks are served
-/// from the measurement cache).
-inline std::vector<VersionRow> measureVersions(
-    std::vector<std::string> names, std::vector<MeasureTask> tasks) {
-  std::vector<Measurement> ms = sessionEngine().measureAll(tasks);
+/// Pair each name with the sweep result in the same slot.
+inline std::vector<VersionRow> versionRows(std::vector<std::string> names,
+                                           const Sweep& sweep) {
   std::vector<VersionRow> rows;
-  rows.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    rows.push_back({std::move(names[i]), ms[i]});
+  rows.reserve(sweep.results.size());
+  for (std::size_t i = 0; i < sweep.results.size(); ++i)
+    rows.push_back({std::move(names[i]), sweep.results[i]});
   return rows;
 }
 
 /// Aggregate analysis throughput of a finished sweep.  Wall-clock based, so
 /// deliberately printed *outside* the result tables: this line varies run
 /// to run while the tables must not.
-inline void printThroughput(const std::vector<VersionRow>& rows) {
+inline void printThroughput(const Sweep& sweep) {
   std::uint64_t refs = 0;
-  double seconds = 0;
-  for (const VersionRow& r : rows) {
-    refs += r.m.counts.refs;
-    seconds += r.m.wallSeconds;
-  }
+  for (const Measurement& m : sweep.results) refs += m.counts.refs;
   std::printf("analysis throughput: %.1f Maccesses/s "
-              "(%llu refs, %.2f s simulation time, %d threads)\n",
-              seconds > 0 ? static_cast<double>(refs) / seconds / 1e6 : 0.0,
-              static_cast<unsigned long long>(refs), seconds,
+              "(%llu refs, %.2f s batch wall time, %d threads)\n",
+              sweep.seconds > 0
+                  ? static_cast<double>(refs) / sweep.seconds / 1e6
+                  : 0.0,
+              static_cast<unsigned long long>(refs), sweep.seconds,
               ThreadPool::defaultThreadCount());
 }
 

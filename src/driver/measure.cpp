@@ -1,82 +1,66 @@
 #include "driver/measure.hpp"
 
-#include <chrono>
-
-#include "interp/interp.hpp"
+#include "interp/plan.hpp"
 #include "ir/stats.hpp"
 #include "locality/sampled_reuse.hpp"
-#include "support/thread_pool.hpp"
 
 namespace gcr {
 
 namespace {
 
-double secondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+void run(const Execution& e, InstrSink* sink) {
+  if (e.plan != nullptr)
+    executePlan(*e.plan, e.opts, sink);
+  else
+    execute(e.program, e.layout, e.opts, sink);
 }
 
 }  // namespace
 
-Measurement measure(const ProgramVersion& version, std::int64_t n,
-                    const MachineConfig& machine, std::uint64_t timeSteps,
-                    const CostModel& cost) {
-  const auto t0 = std::chrono::steady_clock::now();
-  DataLayout layout = version.layoutAt(n);
+Measurement measureExecution(const Execution& e, const MachineConfig& machine,
+                             const CostModel& cost) {
   MemoryHierarchy hierarchy(machine);
-  execute(version.program, layout, {.n = n, .timeSteps = timeSteps},
-          &hierarchy);
+  run(e, &hierarchy);
   Measurement m;
   m.counts = hierarchy.counts();
   m.cycles = cost.cycles(m.counts);
   m.memoryTrafficBytes = hierarchy.memoryTrafficBytes();
   m.effectiveBandwidth = hierarchy.effectiveBandwidthRatio();
-  m.wallSeconds = secondsSince(t0);
-  m.accessesPerSecond =
-      m.wallSeconds > 0 ? static_cast<double>(m.counts.refs) / m.wallSeconds
-                        : 0.0;
   return m;
 }
 
-std::vector<Measurement> detail::measureAllUncached(
-    const std::vector<MeasureTask>& tasks, int threads) {
-  ThreadPool pool(threads);
-  std::vector<Measurement> out(tasks.size());
-  pool.parallelFor(tasks.size(), [&](std::size_t i) {
-    const MeasureTask& t = tasks[i];
-    out[i] = measure(t.version, t.n, t.machine, t.timeSteps, t.cost);
-  });
-  return out;
-}
-
-ReuseProfile reuseProfileOf(const ProgramVersion& version, std::int64_t n,
-                            std::uint64_t timeSteps, double sampleRate) {
-  DataLayout layout = version.layoutAt(n);
+ReuseProfile profileExecution(const Execution& e, double sampleRate) {
   const std::uint64_t expectedRefs =
-      estimateDynamicRefs(version.program, n, timeSteps);
+      estimateDynamicRefs(e.program, e.opts.n, e.opts.timeSteps);
   const std::uint64_t dataBytes =
-      static_cast<std::uint64_t>(layout.totalBytes());
+      static_cast<std::uint64_t>(e.layout.totalBytes());
   if (sampleRate >= 1.0) {
     ReuseDistanceSink sink(8);
     sink.reserve(expectedRefs, dataBytes);
-    execute(version.program, layout, {.n = n, .timeSteps = timeSteps}, &sink);
+    run(e, &sink);
     return sink.takeProfile();
   }
   SampledReuseSink sink(8, sampleRate);
   sink.reserve(expectedRefs, dataBytes);
-  execute(version.program, layout, {.n = n, .timeSteps = timeSteps}, &sink);
+  run(e, &sink);
   return sink.takeProfile();
 }
 
-std::vector<ReuseProfile> detail::reuseProfilesOfUncached(
-    const std::vector<ReuseTask>& tasks, int threads, double sampleRate) {
-  ThreadPool pool(threads);
-  std::vector<ReuseProfile> out(tasks.size());
-  pool.parallelFor(tasks.size(), [&](std::size_t i) {
-    const ReuseTask& t = tasks[i];
-    out[i] = reuseProfileOf(t.version, t.n, t.timeSteps, sampleRate);
-  });
-  return out;
+Measurement measure(const ProgramVersion& version, std::int64_t n,
+                    const MachineConfig& machine, std::uint64_t timeSteps,
+                    const CostModel& cost) {
+  const DataLayout layout = version.layoutAt(n);
+  return measureExecution(
+      {version.program, layout, {.n = n, .timeSteps = timeSteps}}, machine,
+      cost);
+}
+
+ReuseProfile reuseProfileOf(const ProgramVersion& version, std::int64_t n,
+                            std::uint64_t timeSteps, double sampleRate) {
+  const DataLayout layout = version.layoutAt(n);
+  return profileExecution(
+      {version.program, layout, {.n = n, .timeSteps = timeSteps}},
+      sampleRate);
 }
 
 void collectPairwise(const ProgramVersion& version, std::int64_t n,

@@ -1,21 +1,17 @@
 // Measurement harness: run a program version through the cache hierarchy
 // and locality analyses — our stand-in for the R10K/R12K hardware counters.
 //
-// Two execution regimes:
-//   * single measurement — measure()/reuseProfileOf(), unchanged semantics;
-//   * parallel sweep — a batch of independent (version x size x machine)
-//     tasks on a fixed-size thread pool (GCR_THREADS).  Task i always fills
-//     result slot i and every task owns its simulator state, so results are
-//     bit-identical for any thread count; only the wall-clock fields differ
-//     between runs.
+// measure()/reuseProfileOf() simulate one version at one size.  They and
+// the Engine's memoized path (engine/engine.hpp) share one assembly,
+// measureExecution()/profileExecution(): the Engine hands in its cached
+// compiled plan or its resolved execution engine, the free functions let
+// execute() choose.  Every field of a Measurement is a simulated result, so
+// one request always yields the same bytes (store/codec.hpp), whether it
+// was computed now, served from a cache, or read back from disk.
 //
-// The batch entry point is Engine::measureAll / Engine::submit
-// (engine/engine.hpp), which adds content-addressed memoization and
-// in-flight deduplication on top.  The raw, cache-free batch runners live in
-// gcr::detail and back the Engine as its compute functions.  Knobs that
-// used to ride in a MeasureOptions struct (threads, sampleRate) are plain
-// parameters here; sessions configure them once via EngineConfig
-// (engine/config.hpp).
+// Batches (Engine::measureAll / Engine::submit, slot-per-task determinism
+// for any thread count) and the session knobs (threads, sampleRate) live on
+// the Engine and its EngineConfig (engine/config.hpp).
 #pragma once
 
 #include <cmath>
@@ -25,21 +21,19 @@
 
 #include "cachesim/hierarchy.hpp"
 #include "driver/pipeline.hpp"
+#include "interp/interp.hpp"
 #include "locality/evadable.hpp"
 #include "locality/reuse_distance.hpp"
 
 namespace gcr {
+
+struct AccessPlan;
 
 struct Measurement {
   MissCounts counts;
   double cycles = 0;                 ///< CostModel cycles
   std::uint64_t memoryTrafficBytes = 0;
   double effectiveBandwidth = 0;     ///< useful bytes / transferred bytes
-
-  // Analysis-throughput observability (not part of the simulated results:
-  // these vary run to run and are excluded from determinism comparisons).
-  double wallSeconds = 0;            ///< wall-clock time of the simulation
-  double accessesPerSecond = 0;      ///< counts.refs / wallSeconds
 
   /// base.cycles / cycles.  NaN when this measurement recorded no cycles —
   /// a ratio against an empty run has no meaning, and NaN (unlike the 0.0
@@ -82,30 +76,29 @@ struct ReuseTask {
   std::uint64_t timeSteps = 1;
 };
 
+/// One execution of a program at one size: `plan` when the caller holds a
+/// compiled plan for exactly (program, layout, opts.n, opts.timeSteps),
+/// else execute() under opts.engine.
+struct Execution {
+  const Program& program;
+  const DataLayout& layout;
+  ExecOptions opts;
+  const AccessPlan* plan = nullptr;
+};
+
+/// The one Measurement assembly: run `e` through `machine`'s hierarchy and
+/// price the counts with `cost`.
+Measurement measureExecution(const Execution& e, const MachineConfig& machine,
+                             const CostModel& cost);
+
+/// The one ReuseProfile assembly: the exact tracker at sampleRate >= 1, the
+/// sampled tracker below it, pre-sized from the program's dynamic reference
+/// count and data footprint.
+ReuseProfile profileExecution(const Execution& e, double sampleRate);
+
 /// Per-statement-pair reuse statistics (for evadable-reuse classification).
 void collectPairwise(const ProgramVersion& version, std::int64_t n,
                      PairwiseReuseCollector& collector,
                      std::uint64_t timeSteps = 1);
-
-namespace detail {
-
-/// Raw batch runner: every task simulated fresh, no memoization.  Result i
-/// belongs to tasks[i] regardless of thread count (`threads` as
-/// ThreadPool: 0 = GCR_THREADS / hardware_concurrency, 1 = sequential).
-/// The Engine uses this slot-per-task discipline with per-task cache
-/// lookups layered on top.
-std::vector<Measurement> measureAllUncached(
-    const std::vector<MeasureTask>& tasks, int threads = 0);
-
-/// Raw batch reuse profiling, same slot-per-task determinism.
-std::vector<ReuseProfile> reuseProfilesOfUncached(
-    const std::vector<ReuseTask>& tasks, int threads = 0,
-    double sampleRate = 1.0);
-
-}  // namespace detail
-
-// The pre-Engine free measureAll()/reuseProfilesOf() shims are gone
-// (PR 10); use Engine::measureAll / Engine::submit, or the detail::
-// *Uncached runners for the raw parallel path.
 
 }  // namespace gcr

@@ -1,17 +1,13 @@
 #include "engine/engine.hpp"
 
-#include <chrono>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "cachesim/hierarchy.hpp"
-#include "interp/interp.hpp"
 #include "interp/plan.hpp"
-#include "ir/stats.hpp"
-#include "locality/sampled_reuse.hpp"
 #include "store/codec.hpp"
 #include "support/thread_pool.hpp"
 
@@ -28,11 +24,6 @@ constexpr std::uint64_t kProfileDomain = 0xE4;
 constexpr std::uint64_t kSymbolicDomain = 0xE5;
 constexpr std::uint64_t kMulticoreDomain = 0xE6;
 
-double secondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// A compiled plan together with the Program clone and DataLayout copy it
 /// borrows; heap-allocated via shared_ptr so the borrowed addresses are
 /// stable for the plan's whole lifetime (including after cache eviction,
@@ -43,50 +34,56 @@ struct CachedPlan {
   PlanCompileResult compiled;
 };
 
+/// One artifact kind's memory tier: finished results under LRU, and the
+/// computations in flight.  Both hold the computation's shared future, so
+/// publishing a result moves its entry from `pending` to `done`, and a hit
+/// hands out the cached future itself.
+template <typename V>
+struct Tier {
+  explicit Tier(std::size_t capacity) : done(capacity) {}
+  LruCache<Signature, std::shared_future<V>, SignatureHash> done;
+  std::unordered_map<Signature, std::shared_future<V>, SignatureHash> pending;
+};
+
+/// The inputs every simulated artifact starts from: the caller's version
+/// (borrowed), its layout at n, and the run length.
+struct SimInputs {
+  SimInputs(const ProgramVersion& v, std::int64_t size, std::uint64_t steps)
+      : version(v), layout(v.layoutAt(size)), n(size), timeSteps(steps) {}
+  const ProgramVersion& version;
+  DataLayout layout;
+  std::int64_t n;
+  std::uint64_t timeSteps;
+};
+
 }  // namespace
 
 struct Engine::Impl {
   const EngineConfig config;
-  /// GCR_ENGINE=walk (or the explicit config field), resolved once at
-  /// construction; see EngineConfig::resolveEngine.
-  const bool forceWalk;
+  /// The execution engine, resolved once at construction (explicit field >
+  /// GCR_ENGINE > Auto; see EngineConfig::resolveEngine).
+  const ExecEngine engine;
   /// Persistent disk tier; nullptr = memory-only.  Thread-safe internally,
-  /// so it is consulted from compute lambdas outside `mutex`.
+  /// so it is consulted from jobs outside `mutex`.
   const std::unique_ptr<store::ArtifactStore> diskStore;
 
+  /// Guards every Tier and inflightCoalesced.
   mutable std::mutex mutex;
-  LruCache<Signature, std::shared_ptr<const PipelineResult>, SignatureHash>
-      pipelines;
-  LruCache<Signature, std::shared_ptr<const CachedPlan>, SignatureHash> plans;
-  LruCache<Signature, Measurement, SignatureHash> measurements;
-  LruCache<Signature, ReuseProfile, SignatureHash> profiles;
-  LruCache<Signature, SymbolicReuseProfile, SignatureHash> symbolics;
-  LruCache<Signature, MulticoreProfile, SignatureHash> multicores;
-
-  // Internal dependency stages keep typed in-flight maps (their values are
-  // shared_ptrs, not Reply alternatives) ...
-  std::unordered_map<Signature,
-                     std::shared_future<std::shared_ptr<const PipelineResult>>,
-                     SignatureHash>
-      inflightPipelines;
-  std::unordered_map<Signature,
-                     std::shared_future<std::shared_ptr<const CachedPlan>>,
-                     SignatureHash>
-      inflightPlans;
-  // ... while every submit()-visible artifact shares ONE in-flight map of
-  // Reply futures, so the async path and the synchronous façade coalesce
-  // onto each other.  Domain tags keep keys of different kinds distinct.
-  std::unordered_map<Signature, std::shared_future<Reply>, SignatureHash>
-      inflightReplies;
+  Tier<Reply> pipelines;
+  Tier<std::shared_ptr<const CachedPlan>> plans;
+  Tier<Reply> measurements;
+  Tier<Reply> profiles;
+  Tier<Reply> symbolics;
+  Tier<Reply> multicores;
   std::uint64_t inflightCoalesced = 0;
 
   // Declared last so it is destroyed first: the destructor drains pending
-  // jobs, which still touch the caches and maps above.
+  // jobs, which still touch the tiers above.
   ThreadPool pool;
 
   explicit Impl(const EngineConfig& c)
       : config(c),
-        forceWalk(c.resolveEngine() == ExecEngine::TreeWalk),
+        engine(c.resolveEngine()),
         diskStore(store::ArtifactStore::open({.dir = c.resolveCacheDir(),
                                               .fsync = c.storeFsync,
                                               .maxBytes = c.storeMaxBytes})),
@@ -98,464 +95,362 @@ struct Engine::Impl {
         multicores(c.multicoreCacheCapacity),
         pool(c.resolveThreads()) {}
 
-  // Serve from `cache`, attach to an identical in-flight computation, or
-  // run `compute` (outside the lock) and publish the result to both the
-  // cache and every attached waiter.  Used by the typed dependency stages
-  // (pipelines, plans).
-  template <typename V, typename Compute>
-  V getOrCompute(
-      LruCache<Signature, V, SignatureHash>& cache,
-      std::unordered_map<Signature, std::shared_future<V>, SignatureHash>&
-          inflight,
-      const Signature& key, Compute&& compute) {
-    std::promise<V> promise;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      if (const V* hit = cache.get(key)) return *hit;
-      auto it = inflight.find(key);
-      if (it != inflight.end()) {
-        std::shared_future<V> f = it->second;
-        ++inflightCoalesced;
-        lock.unlock();
-        return f.get();
-      }
-      inflight.emplace(key, promise.get_future().share());
-    }
-    try {
-      V value = compute();
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        cache.put(key, value);
-        inflight.erase(key);
-      }
-      promise.set_value(value);
-      return value;
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        inflight.erase(key);
-      }
-      promise.set_exception(std::current_exception());
-      throw;
-    }
-  }
+  // --- the one artifact path ----------------------------------------------
 
-  // Synchronous path of a submit()-visible artifact: serve from the typed
-  // cache, coalesce onto the unified Reply in-flight map (which the async
-  // path feeds too), or compute on the calling thread and publish to both.
-  template <typename V, typename Compute>
-  V syncArtifact(LruCache<Signature, V, SignatureHash>& cache,
-                 const Signature& key, Compute&& compute) {
-    std::promise<Reply> promise;
+  /// Every artifact of every kind K — each submit(), each synchronous call,
+  /// each compiled plan — is resolved here.  A hit in K's tier returns the
+  /// cached future; a duplicate of in-flight work attaches to it; anything
+  /// else publishes a pending entry and passes `launch` the job that
+  /// produces the result and moves the entry to the cache.  `launch` runs
+  /// the job inline or on the pool, handing it inputs that outlive it; it
+  /// may move the storage `args` borrows from, so `args` is dead after it.
+  template <typename K, typename Launch>
+  std::shared_future<typename K::Value> resolve(const typename K::Args& args,
+                                                Launch&& launch) {
+    using V = typename K::Value;
+    const Signature key = K::key(*this, args);
+    Tier<V>& tier = K::tier(*this);
+    std::shared_ptr<std::promise<V>> promise;
+    std::shared_future<V> result;
     {
-      std::unique_lock<std::mutex> lock(mutex);
-      if (const V* hit = cache.get(key)) return *hit;
-      auto it = inflightReplies.find(key);
-      if (it != inflightReplies.end()) {
-        std::shared_future<Reply> f = it->second;
+      std::lock_guard<std::mutex> lock(mutex);
+      if (const std::shared_future<V>* hit = tier.done.get(key)) return *hit;
+      auto it = tier.pending.find(key);
+      if (it != tier.pending.end()) {
         ++inflightCoalesced;
-        lock.unlock();
-        return replyAs<V>(f.get());
+        return it->second;
       }
-      inflightReplies.emplace(key, promise.get_future().share());
-    }
-    try {
-      V value = compute();
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        cache.put(key, value);
-        inflightReplies.erase(key);
-      }
-      promise.set_value(Reply(value));
-      return value;
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        inflightReplies.erase(key);
-      }
-      promise.set_exception(std::current_exception());
-      throw;
-    }
-  }
-
-  // Async path: cache hit resolves instantly, in-flight duplicate attaches,
-  // otherwise `compute` is enqueued on the pool.  `compute` must be
-  // copyable (own its inputs via shared_ptr) and is run exactly once.
-  template <typename V, typename Compute>
-  Future<Reply> asyncArtifact(LruCache<Signature, V, SignatureHash>& cache,
-                              const Signature& key, Compute compute) {
-    std::shared_ptr<std::promise<Reply>> promise;
-    std::shared_future<Reply> result;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      if (const V* hit = cache.get(key)) return makeReadyFuture(Reply(*hit));
-      auto it = inflightReplies.find(key);
-      if (it != inflightReplies.end()) {
-        ++inflightCoalesced;
-        return Future<Reply>(it->second);
-      }
-      promise = std::make_shared<std::promise<Reply>>();
+      promise = std::make_shared<std::promise<V>>();
       result = promise->get_future().share();
-      inflightReplies.emplace(key, result);
+      tier.pending.emplace(key, result);
     }
-    // Enqueue strictly outside the lock: with threads == 1 (or from inside a
-    // pool task) the job runs inline before enqueue() returns, and it takes
-    // the same mutex.  The job must not throw (enqueue contract).
-    pool.enqueue([this, &cache, key, promise, compute = std::move(compute)] {
+    // Launched strictly outside the lock: an inline job takes it again.  The
+    // result is cached before the future becomes ready, so whoever sees it
+    // ready also sees it cached.  The job must not throw (ThreadPool::enqueue
+    // contract).
+    launch([this, &tier, key, promise](const typename K::Args& in) {
       try {
-        V value = compute();
+        V value(produce<K>(key, in));
         {
           std::lock_guard<std::mutex> lock(mutex);
-          cache.put(key, value);
-          inflightReplies.erase(key);
+          tier.done.put(key, std::move(tier.pending.extract(key).mapped()));
         }
-        promise->set_value(Reply(std::move(value)));
+        promise->set_value(std::move(value));
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(mutex);
-          inflightReplies.erase(key);
+          tier.pending.erase(key);
         }
         promise->set_exception(std::current_exception());
       }
     });
-    return Future<Reply>(std::move(result));
+    return result;
   }
 
-  // --- keys ---------------------------------------------------------------
-
-  static Signature pipelineKey(const Program& p, const PipelineOptions& po) {
-    SigHasher h;
-    h.u64(kPipelineDomain).sig(programSignature(p));
-    // The semantic signature excludes textual names, but pipeline
-    // diagnostics embed the program name — include it so two structurally
-    // identical apps never swap diagnostic labels.
-    h.str(p.name);
-    h.sig(pipelineOptionsSignature(po));
-    return h.take();
-  }
-
-  static Signature planKey(const Program& p, const DataLayout& layout,
-                           std::int64_t n, std::uint64_t timeSteps) {
-    SigHasher h;
-    h.u64(kPlanDomain)
-        .sig(programSignature(p))
-        .sig(layoutSignature(layout))
-        .i64(n)
-        .u64(timeSteps);
-    return h.take();
-  }
-
-  static Signature measurementKey(const Program& p, const DataLayout& layout,
-                                  std::int64_t n, std::uint64_t timeSteps,
-                                  const MachineConfig& machine,
-                                  const CostModel& cost) {
-    SigHasher h;
-    h.u64(kMeasureDomain)
-        .sig(programSignature(p))
-        .sig(layoutSignature(layout))
-        .i64(n)
-        .u64(timeSteps)
-        .sig(machineSignature(machine))
-        .sig(costSignature(cost));
-    return h.take();
-  }
-
-  Signature profileKey(const Program& p, const DataLayout& layout,
-                       std::int64_t n, std::uint64_t timeSteps) const {
-    SigHasher h;
-    h.u64(kProfileDomain)
-        .sig(programSignature(p))
-        .sig(layoutSignature(layout))
-        .i64(n)
-        .u64(timeSteps)
-        .f64(config.sampleRate);
-    return h.take();
-  }
-
-  static Signature symbolicKey(const Program& p,
-                               const SymbolicReuseOptions& o) {
-    SigHasher h;
-    h.u64(kSymbolicDomain).sig(programSignature(p));
-    // The semantic signature excludes textual names, but the profile's site
-    // descriptors carry loc/text strings built from them.
-    h.str(p.name);
-    for (const ArrayDecl& a : p.arrays) h.str(a.name);
-    forEachLoop(p, [&](const Loop& l, int) { h.str(l.var); });
-    h.i64(o.minN);
-    return h.take();
-  }
-
-  static Signature multicoreKey(const Program& p, const DataLayout& layout,
-                                std::int64_t n, std::uint64_t timeSteps,
-                                const CacheTopology& topo,
-                                const MulticoreCostModel& cost) {
-    SigHasher h;
-    h.u64(kMulticoreDomain)
-        .sig(programSignature(p))
-        .sig(layoutSignature(layout))
-        .i64(n)
-        .u64(timeSteps)
-        .sig(topologySignature(topo))
-        .sig(multicoreCostSignature(cost));
-    return h.take();
-  }
-
-  // --- persistent disk tier -----------------------------------------------
-
-  /// Checksum-validated disk lookup.  An entry that passes the store's
-  /// validation but fails to decode (codec version drift) is treated as a
-  /// miss; the recompute republishes under the same key.
-  template <typename T, typename Decode>
-  std::optional<T> loadArtifact(store::ArtifactKind kind, const Signature& key,
-                                Decode&& decode) {
-    if (!diskStore) return std::nullopt;
-    const std::optional<store::MappedEntry> entry = diskStore->get(kind, key);
-    if (!entry) return std::nullopt;
-    return decode(entry->payload());
-  }
-
-  void saveArtifact(store::ArtifactKind kind, const Signature& key,
-                    const std::vector<std::uint8_t>& payload) {
-    if (diskStore) diskStore->put(kind, key, payload);
-  }
-
-  // --- compute stages -----------------------------------------------------
-
-  std::shared_ptr<const PipelineResult> pipelineFor(const Program& p,
-                                                    const PipelineOptions& po) {
-    const Signature key = pipelineKey(p, po);
-    return getOrCompute(pipelines, inflightPipelines, key, [&] {
-      if (std::optional<PipelineResult> cached =
-              loadArtifact<PipelineResult>(store::ArtifactKind::PipelineResult,
-                                           key, store::decodePipelineResult))
-        return std::make_shared<const PipelineResult>(std::move(*cached));
-      auto r = std::make_shared<const PipelineResult>(runPipeline(p, po));
-      saveArtifact(store::ArtifactKind::PipelineResult, key,
-                   store::encodePipelineResult(*r));
-      return r;
-    });
-  }
-
-  std::shared_ptr<const CachedPlan> planFor(const Program& p,
-                                            const DataLayout& layout,
-                                            std::int64_t n,
-                                            std::uint64_t timeSteps) {
-    const Signature key = planKey(p, layout, n, timeSteps);
-    return getOrCompute(plans, inflightPlans, key, [&] {
-      auto cp = std::make_shared<CachedPlan>();
-      cp->program = p.clone();
-      cp->layout = layout;
-      cp->compiled = compilePlan(cp->program, cp->layout,
-                                 {.n = n, .timeSteps = timeSteps});
-      return std::shared_ptr<const CachedPlan>(std::move(cp));
-    });
-  }
-
-  Measurement measurementFor(const Signature& key,
-                             const ProgramVersion& version,
-                             const DataLayout& layout, std::int64_t n,
-                             std::uint64_t timeSteps,
-                             const MachineConfig& machine,
-                             const CostModel& cost) {
-    if (std::optional<Measurement> cached = loadArtifact<Measurement>(
-            store::ArtifactKind::Measurement, key, store::decodeMeasurement))
-      return *cached;
-    Measurement m =
-        computeMeasurement(version, layout, n, timeSteps, machine, cost);
-    saveArtifact(store::ArtifactKind::Measurement, key,
-                 store::encodeMeasurement(m));
-    return m;
-  }
-
-  ReuseProfile profileFor(const Signature& key, const ProgramVersion& version,
-                          const DataLayout& layout, std::int64_t n,
-                          std::uint64_t timeSteps) {
-    if (std::optional<ReuseProfile> cached = loadArtifact<ReuseProfile>(
-            store::ArtifactKind::ReuseProfile, key, store::decodeReuseProfile))
-      return *cached;
-    ReuseProfile p = computeProfile(version, layout, n, timeSteps);
-    saveArtifact(store::ArtifactKind::ReuseProfile, key,
-                 store::encodeReuseProfile(p));
-    return p;
-  }
-
-  SymbolicReuseProfile symbolicFor(const Signature& key, const Program& p,
-                                   const SymbolicReuseOptions& o) {
-    if (std::optional<SymbolicReuseProfile> cached =
-            loadArtifact<SymbolicReuseProfile>(
-                store::ArtifactKind::SymbolicProfile, key,
-                store::decodeSymbolicProfile))
-      return *cached;
-    SymbolicReuseProfile sp = analyzeSymbolicReuse(p, o);
-    saveArtifact(store::ArtifactKind::SymbolicProfile, key,
-                 store::encodeSymbolicProfile(sp));
-    return sp;
-  }
-
-  MulticoreProfile multicoreFor(const Signature& key,
-                                const ProgramVersion& version,
-                                const DataLayout& layout, std::int64_t n,
-                                std::uint64_t timeSteps,
-                                const CacheTopology& topo,
-                                const MulticoreCostModel& cost) {
-    if (std::optional<MulticoreProfile> cached =
-            loadArtifact<MulticoreProfile>(
-                store::ArtifactKind::MulticoreProfile, key,
-                store::decodeMulticoreProfile))
-      return *cached;
-    MulticoreProfile mp =
-        computeMulticore(version, layout, n, timeSteps, topo, cost);
-    saveArtifact(store::ArtifactKind::MulticoreProfile, key,
-                 store::encodeMulticoreProfile(mp));
-    return mp;
-  }
-
-  Measurement computeMeasurement(const ProgramVersion& version,
-                                 const DataLayout& layout, std::int64_t n,
-                                 std::uint64_t timeSteps,
-                                 const MachineConfig& machine,
-                                 const CostModel& cost) {
-    // GCR_ENGINE=walk must reach the tree-walking oracle, not a cached
-    // plan; gcr::measure() defers to execute()'s own engine dispatch.
-    if (forceWalk) return gcr::measure(version, n, machine, timeSteps, cost);
-    const auto t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const CachedPlan> plan =
-        planFor(version.program, layout, n, timeSteps);
-    if (!plan->compiled.ok())
-      return gcr::measure(version, n, machine, timeSteps, cost);
-    MemoryHierarchy hierarchy(machine);
-    executePlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps},
-                &hierarchy);
-    Measurement m;
-    m.counts = hierarchy.counts();
-    m.cycles = cost.cycles(m.counts);
-    m.memoryTrafficBytes = hierarchy.memoryTrafficBytes();
-    m.effectiveBandwidth = hierarchy.effectiveBandwidthRatio();
-    m.wallSeconds = secondsSince(t0);
-    m.accessesPerSecond =
-        m.wallSeconds > 0 ? static_cast<double>(m.counts.refs) / m.wallSeconds
-                          : 0.0;
-    return m;
-  }
-
-  ReuseProfile computeProfile(const ProgramVersion& version,
-                              const DataLayout& layout, std::int64_t n,
-                              std::uint64_t timeSteps) {
-    if (forceWalk)
-      return reuseProfileOf(version, n, timeSteps, config.sampleRate);
-    std::shared_ptr<const CachedPlan> plan =
-        planFor(version.program, layout, n, timeSteps);
-    if (!plan->compiled.ok())
-      return reuseProfileOf(version, n, timeSteps, config.sampleRate);
-    const std::uint64_t expectedRefs =
-        estimateDynamicRefs(plan->program, n, timeSteps);
-    const std::uint64_t dataBytes =
-        static_cast<std::uint64_t>(plan->layout.totalBytes());
-    if (config.sampleRate >= 1.0) {
-      ReuseDistanceSink sink(8);
-      sink.reserve(expectedRefs, dataBytes);
-      executePlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps},
-                  &sink);
-      return sink.takeProfile();
+  /// The disk tier, then the computation: the only code that reads or
+  /// writes the store.  An entry that passes the store's validation but
+  /// fails to decode (a codec version bump) is a miss; the recompute
+  /// republishes under the same key.  Compiled plans are never persisted:
+  /// they borrow in-memory pointers.
+  template <typename K>
+  typename K::Result produce(const Signature& key,
+                             const typename K::Args& args) {
+    using T = typename K::Result;
+    if constexpr (requires { K::kArtifact; }) {
+      if (diskStore)
+        if (const std::optional<store::MappedEntry> entry =
+                diskStore->get(K::kArtifact, key))
+          if (std::optional<T> stored = K::decode(entry->payload()))
+            return std::move(*stored);
+      T fresh = K::compute(*this, args);
+      if (diskStore) diskStore->put(K::kArtifact, key, K::encode(fresh));
+      return fresh;
+    } else {
+      return K::compute(*this, args);
     }
-    SampledReuseSink sink(8, config.sampleRate);
-    sink.reserve(expectedRefs, dataBytes);
-    executePlan(*plan->compiled.plan, {.n = n, .timeSteps = timeSteps}, &sink);
-    return sink.takeProfile();
   }
 
-  MulticoreProfile computeMulticore(const ProgramVersion& version,
-                                    const DataLayout& layout, std::int64_t n,
-                                    std::uint64_t timeSteps,
-                                    const CacheTopology& topo,
-                                    const MulticoreCostModel& cost) {
-    // The schedule slicer works on compiled plans only: slicing needs the
-    // plan's flat loop structure, and the walker has no equivalent.  Every
-    // registry app qualifies; a declined program is a hard error rather
-    // than a silently serial fallback.
-    std::shared_ptr<const CachedPlan> plan =
-        planFor(version.program, layout, n, timeSteps);
-    GCR_CHECK(plan->compiled.ok(),
-              "multicore analysis requires the plan engine: " +
+  /// resolve() on the calling thread (the synchronous façade and nested
+  /// dependencies such as a measurement's plan).
+  template <typename K>
+  std::shared_future<typename K::Value> resolveHere(
+      const typename K::Args& args) {
+    return resolve<K>(args, [&](const auto& job) { job(args); });
+  }
+
+  /// A copy of K's result, resolved on the calling thread.
+  template <typename K>
+  typename K::Result get(const typename K::Args& args) {
+    return replyAs<typename K::Result>(resolveHere<K>(args).get());
+  }
+
+  /// submit(): resolve on the calling thread, compute on the pool.  The
+  /// request moves into the job only on a miss.
+  template <typename R>
+  std::shared_future<Reply> submitOne(R&& request) {
+    using K = decltype(kindOf(request));
+    return resolve<K>(K::args(request), [&](const auto& job) {
+      auto owned = std::make_shared<R>(std::move(request));
+      pool.enqueue([job, owned] { job(K::args(*owned)); });
+    });
+  }
+
+  /// measureAll()/reuseProfilesOf(): slot i holds tasks[i]'s result for any
+  /// thread count.  The jobs borrow from `tasks`, so every one of them
+  /// finishes before the first result (or failure) is read.
+  template <typename R>
+  auto batch(const std::vector<R>& tasks) {
+    using K = decltype(kindOf(std::declval<const R&>()));
+    std::vector<std::shared_future<Reply>> futures;
+    futures.reserve(tasks.size());
+    for (const R& task : tasks)
+      futures.push_back(resolve<K>(K::args(task), [&](const auto& job) {
+        pool.enqueue([job, &task] { job(K::args(task)); });
+      }));
+    for (const std::shared_future<Reply>& f : futures) f.wait();
+    std::vector<typename K::Result> out;
+    out.reserve(tasks.size());
+    for (const std::shared_future<Reply>& f : futures)
+      out.push_back(replyAs<typename K::Result>(f.get()));
+    return out;
+  }
+
+  /// The execution behind a measurement or reuse profile: execute()'s
+  /// dispatch with the resolved engine passed explicitly and the compiled
+  /// plan served from the plan tier.  TreeWalk runs the oracle; otherwise
+  /// the cached plan runs, and a program the plan compiler declines falls
+  /// back to the walker (or fails, when the resolved engine is Plan).
+  template <typename Fn>
+  auto withExecution(const SimInputs& s, Fn&& fn) {
+    const Execution walk{s.version.program,
+                         s.layout,
+                         {.n = s.n,
+                          .timeSteps = s.timeSteps,
+                          .engine = ExecEngine::TreeWalk}};
+    if (engine == ExecEngine::TreeWalk) return fn(walk);
+    const std::shared_ptr<const CachedPlan> plan =
+        resolveHere<PlanKind>(s).get();
+    if (plan->compiled.ok())
+      return fn(Execution{plan->program,
+                          plan->layout,
+                          {.n = s.n, .timeSteps = s.timeSteps},
+                          plan->compiled.plan.get()});
+    GCR_CHECK(engine != ExecEngine::Plan,
+              "plan engine required but program does not qualify: " +
                   plan->compiled.reason);
-    // From an async job this runs on a pool thread, so the nested
-    // parallelFor inside analyzeMulticore runs its per-core simulations
-    // inline — correct either way (results are thread-count independent).
-    return analyzeMulticore(*plan->compiled.plan, topo, cost, &pool);
+    return fn(walk);
   }
 
-  // --- submit() alternatives ----------------------------------------------
+  // --- the traits table: one entry per artifact kind ------------------------
+  //
+  // Args     the inputs, borrowed (a view the façade builds from its
+  //          parameters and submit() from the owned request);
+  // Result   what compute() returns; Value is what the tier stores;
+  // tier     where it lives in memory;
+  // key      its content address (domain tag first; the hash input order is
+  //          part of the key and must not change);
+  // kArtifact/encode/decode  its store kind and codec (plans have none);
+  // compute  the work itself.
 
-  Future<Reply> submitOne(PipelineRequest request) {
-    auto reqPtr = std::make_shared<PipelineRequest>(std::move(request));
-    auto promise = std::make_shared<std::promise<Reply>>();
-    std::shared_future<Reply> result = promise->get_future().share();
-    // Pipeline runs are cheap relative to simulations, and the reply needs
-    // its own PipelineResult copy anyway (the type is move-only and the
-    // cache keeps the original); pipelineFor() still dedupes and memoizes.
-    pool.enqueue([this, reqPtr, promise] {
-      try {
-        promise->set_value(
-            Reply(pipelineFor(reqPtr->program, reqPtr->options)->clone()));
-      } catch (...) {
-        promise->set_exception(std::current_exception());
-      }
-    });
-    return Future<Reply>(std::move(result));
-  }
+  struct PipelineKind {
+    struct Args {
+      const Program& program;
+      const PipelineOptions& options;
+    };
+    using Result = PipelineResult;
+    using Value = Reply;
+    static constexpr store::ArtifactKind kArtifact =
+        store::ArtifactKind::PipelineResult;
+    static constexpr auto encode = store::encodePipelineResult;
+    static constexpr auto decode = store::decodePipelineResult;
+    static Tier<Value>& tier(Impl& e) { return e.pipelines; }
+    static Args args(const PipelineRequest& r) {
+      return {r.program, r.options};
+    }
+    static Signature key(const Impl&, const Args& a) {
+      SigHasher h;
+      h.u64(kPipelineDomain).sig(programSignature(a.program));
+      // The semantic signature excludes textual names, but pipeline
+      // diagnostics embed the program name — include it so two structurally
+      // identical apps never swap diagnostic labels.
+      h.str(a.program.name);
+      h.sig(pipelineOptionsSignature(a.options));
+      return h.take();
+    }
+    static Result compute(Impl&, const Args& a) {
+      return runPipeline(a.program, a.options);
+    }
+  };
 
-  Future<Reply> submitOne(MeasureTask task) {
-    DataLayout layout = task.version.layoutAt(task.n);
-    const Signature key =
-        measurementKey(task.version.program, layout, task.n, task.timeSteps,
-                       task.machine, task.cost);
-    auto taskPtr = std::make_shared<MeasureTask>(std::move(task));
-    auto layoutPtr = std::make_shared<DataLayout>(std::move(layout));
-    return asyncArtifact(measurements, key, [this, taskPtr, layoutPtr, key] {
-      return measurementFor(key, taskPtr->version, *layoutPtr, taskPtr->n,
-                            taskPtr->timeSteps, taskPtr->machine,
-                            taskPtr->cost);
-    });
-  }
+  struct PlanKind {
+    using Args = SimInputs;
+    using Result = std::shared_ptr<const CachedPlan>;
+    using Value = Result;
+    static Tier<Value>& tier(Impl& e) { return e.plans; }
+    static Signature key(const Impl&, const Args& s) {
+      SigHasher h;
+      h.u64(kPlanDomain)
+          .sig(programSignature(s.version.program))
+          .sig(layoutSignature(s.layout))
+          .i64(s.n)
+          .u64(s.timeSteps);
+      return h.take();
+    }
+    static Result compute(Impl&, const Args& s) {
+      auto cp = std::make_shared<CachedPlan>();
+      cp->program = s.version.program.clone();
+      cp->layout = s.layout;
+      cp->compiled = compilePlan(cp->program, cp->layout,
+                                 {.n = s.n, .timeSteps = s.timeSteps});
+      return cp;
+    }
+  };
 
-  Future<Reply> submitOne(ReuseTask task) {
-    DataLayout layout = task.version.layoutAt(task.n);
-    const Signature key =
-        profileKey(task.version.program, layout, task.n, task.timeSteps);
-    auto taskPtr = std::make_shared<ReuseTask>(std::move(task));
-    auto layoutPtr = std::make_shared<DataLayout>(std::move(layout));
-    return asyncArtifact(profiles, key, [this, taskPtr, layoutPtr, key] {
-      return profileFor(key, taskPtr->version, *layoutPtr, taskPtr->n,
-                        taskPtr->timeSteps);
-    });
-  }
+  struct MeasureKind {
+    struct Args {
+      SimInputs sim;
+      const MachineConfig& machine;
+      const CostModel& cost;
+    };
+    using Result = Measurement;
+    using Value = Reply;
+    static constexpr store::ArtifactKind kArtifact =
+        store::ArtifactKind::Measurement;
+    static constexpr auto encode = store::encodeMeasurement;
+    static constexpr auto decode = store::decodeMeasurement;
+    static Tier<Value>& tier(Impl& e) { return e.measurements; }
+    static Args args(const MeasureTask& t) {
+      return {{t.version, t.n, t.timeSteps}, t.machine, t.cost};
+    }
+    static Signature key(const Impl&, const Args& a) {
+      SigHasher h;
+      h.u64(kMeasureDomain)
+          .sig(programSignature(a.sim.version.program))
+          .sig(layoutSignature(a.sim.layout))
+          .i64(a.sim.n)
+          .u64(a.sim.timeSteps)
+          .sig(machineSignature(a.machine))
+          .sig(costSignature(a.cost));
+      return h.take();
+    }
+    static Result compute(Impl& e, const Args& a) {
+      return e.withExecution(a.sim, [&](const Execution& x) {
+        return measureExecution(x, a.machine, a.cost);
+      });
+    }
+  };
 
-  Future<Reply> submitOne(SymbolicProfileRequest request) {
-    const Signature key = symbolicKey(request.program, request.options);
-    auto reqPtr = std::make_shared<SymbolicProfileRequest>(std::move(request));
-    return asyncArtifact(symbolics, key, [this, reqPtr, key] {
-      return symbolicFor(key, reqPtr->program, reqPtr->options);
-    });
-  }
+  struct ProfileKind {
+    using Args = SimInputs;
+    using Result = ReuseProfile;
+    using Value = Reply;
+    static constexpr store::ArtifactKind kArtifact =
+        store::ArtifactKind::ReuseProfile;
+    static constexpr auto encode = store::encodeReuseProfile;
+    static constexpr auto decode = store::decodeReuseProfile;
+    static Tier<Value>& tier(Impl& e) { return e.profiles; }
+    static Args args(const ReuseTask& t) {
+      return {t.version, t.n, t.timeSteps};
+    }
+    static Signature key(const Impl& e, const Args& s) {
+      SigHasher h;
+      h.u64(kProfileDomain)
+          .sig(programSignature(s.version.program))
+          .sig(layoutSignature(s.layout))
+          .i64(s.n)
+          .u64(s.timeSteps)
+          .f64(e.config.sampleRate);
+      return h.take();
+    }
+    static Result compute(Impl& e, const Args& s) {
+      return e.withExecution(s, [&](const Execution& x) {
+        return profileExecution(x, e.config.sampleRate);
+      });
+    }
+  };
 
-  Future<Reply> submitOne(MulticoreTask task) {
-    DataLayout layout = task.version.layoutAt(task.n);
-    const Signature key =
-        multicoreKey(task.version.program, layout, task.n, task.timeSteps,
-                     task.topology, task.cost);
-    auto taskPtr = std::make_shared<MulticoreTask>(std::move(task));
-    auto layoutPtr = std::make_shared<DataLayout>(std::move(layout));
-    return asyncArtifact(multicores, key, [this, taskPtr, layoutPtr, key] {
-      return computeOrLoadMulticore(key, *taskPtr, *layoutPtr);
-    });
-  }
+  struct SymbolicKind {
+    struct Args {
+      const Program& program;
+      const SymbolicReuseOptions& options;
+    };
+    using Result = SymbolicReuseProfile;
+    using Value = Reply;
+    static constexpr store::ArtifactKind kArtifact =
+        store::ArtifactKind::SymbolicProfile;
+    static constexpr auto encode = store::encodeSymbolicProfile;
+    static constexpr auto decode = store::decodeSymbolicProfile;
+    static Tier<Value>& tier(Impl& e) { return e.symbolics; }
+    static Args args(const SymbolicProfileRequest& r) {
+      return {r.program, r.options};
+    }
+    static Signature key(const Impl&, const Args& a) {
+      SigHasher h;
+      h.u64(kSymbolicDomain).sig(programSignature(a.program));
+      // The semantic signature excludes textual names, but the profile's
+      // site descriptors carry loc/text strings built from them.
+      h.str(a.program.name);
+      for (const ArrayDecl& d : a.program.arrays) h.str(d.name);
+      forEachLoop(a.program, [&](const Loop& l, int) { h.str(l.var); });
+      h.i64(a.options.minN);
+      return h.take();
+    }
+    static Result compute(Impl&, const Args& a) {
+      return analyzeSymbolicReuse(a.program, a.options);
+    }
+  };
 
-  MulticoreProfile computeOrLoadMulticore(const Signature& key,
-                                          const MulticoreTask& t,
-                                          const DataLayout& layout) {
-    return multicoreFor(key, t.version, layout, t.n, t.timeSteps, t.topology,
-                        t.cost);
-  }
+  struct MulticoreKind {
+    struct Args {
+      SimInputs sim;
+      const CacheTopology& topology;
+      const MulticoreCostModel& cost;
+    };
+    using Result = MulticoreProfile;
+    using Value = Reply;
+    static constexpr store::ArtifactKind kArtifact =
+        store::ArtifactKind::MulticoreProfile;
+    static constexpr auto encode = store::encodeMulticoreProfile;
+    static constexpr auto decode = store::decodeMulticoreProfile;
+    static Tier<Value>& tier(Impl& e) { return e.multicores; }
+    static Args args(const MulticoreTask& t) {
+      return {{t.version, t.n, t.timeSteps}, t.topology, t.cost};
+    }
+    static Signature key(const Impl&, const Args& a) {
+      SigHasher h;
+      h.u64(kMulticoreDomain)
+          .sig(programSignature(a.sim.version.program))
+          .sig(layoutSignature(a.sim.layout))
+          .i64(a.sim.n)
+          .u64(a.sim.timeSteps)
+          .sig(topologySignature(a.topology))
+          .sig(multicoreCostSignature(a.cost));
+      return h.take();
+    }
+    static Result compute(Impl& e, const Args& a) {
+      // The schedule slicer works on compiled plans only: slicing needs the
+      // plan's flat loop structure, and the walker has no equivalent.  Every
+      // registry app qualifies; a declined program is a hard error rather
+      // than a silently serial fallback.
+      const std::shared_ptr<const CachedPlan> plan =
+          e.resolveHere<PlanKind>(a.sim).get();
+      GCR_CHECK(plan->compiled.ok(),
+                "multicore analysis requires the plan engine: " +
+                    plan->compiled.reason);
+      // From a pool job the nested parallelFor inside analyzeMulticore runs
+      // its per-core simulations inline — correct either way (results are
+      // thread-count independent).
+      return analyzeMulticore(*plan->compiled.plan, a.topology, a.cost,
+                              &e.pool);
+    }
+  };
+
+  // Request alternative -> kind (unevaluated; used by submit and batches).
+  static PipelineKind kindOf(const PipelineRequest&);
+  static MeasureKind kindOf(const MeasureTask&);
+  static ProfileKind kindOf(const ReuseTask&);
+  static SymbolicKind kindOf(const SymbolicProfileRequest&);
+  static MulticoreKind kindOf(const MulticoreTask&);
 };
 
 Engine::Engine() : Engine(EngineConfig()) {}
@@ -565,42 +460,32 @@ Engine::Engine(EngineConfig config) : impl_(std::make_unique<Impl>(config)) {}
 Engine::~Engine() = default;
 
 PipelineResult Engine::pipeline(const Program& p, const PipelineOptions& opts) {
-  return impl_->pipelineFor(p, opts)->clone();
+  return replyAs<PipelineResult>(
+             impl_->resolveHere<Impl::PipelineKind>({p, opts}).get())
+      .clone();
 }
 
 ProgramVersion Engine::version(const Program& p, Strategy strategy,
                                const VersionSpec& spec) {
-  const PipelineOptions po = pipelineOptionsFor(strategy, spec);
-  return assembleVersion(impl_->pipelineFor(p, po)->clone(), strategy, spec);
+  return assembleVersion(pipeline(p, pipelineOptionsFor(strategy, spec)),
+                         strategy, spec);
 }
 
 Measurement Engine::measure(const ProgramVersion& version, std::int64_t n,
                             const MachineConfig& machine,
                             std::uint64_t timeSteps, const CostModel& cost) {
-  const DataLayout layout = version.layoutAt(n);
-  const Signature key = Impl::measurementKey(version.program, layout, n,
-                                             timeSteps, machine, cost);
-  return impl_->syncArtifact(impl_->measurements, key, [&] {
-    return impl_->measurementFor(key, version, layout, n, timeSteps, machine,
-                                 cost);
-  });
+  return impl_->get<Impl::MeasureKind>(
+      {{version, n, timeSteps}, machine, cost});
 }
 
 ReuseProfile Engine::reuseProfile(const ProgramVersion& version,
                                   std::int64_t n, std::uint64_t timeSteps) {
-  const DataLayout layout = version.layoutAt(n);
-  const Signature key =
-      impl_->profileKey(version.program, layout, n, timeSteps);
-  return impl_->syncArtifact(impl_->profiles, key, [&] {
-    return impl_->profileFor(key, version, layout, n, timeSteps);
-  });
+  return impl_->get<Impl::ProfileKind>({version, n, timeSteps});
 }
 
 SymbolicReuseProfile Engine::symbolicProfile(const Program& p,
                                              const SymbolicReuseOptions& opts) {
-  const Signature key = Impl::symbolicKey(p, opts);
-  return impl_->syncArtifact(impl_->symbolics, key,
-                             [&] { return impl_->symbolicFor(key, p, opts); });
+  return impl_->get<Impl::SymbolicKind>({p, opts});
 }
 
 MulticoreProfile Engine::multicoreProfile(const ProgramVersion& version,
@@ -608,59 +493,40 @@ MulticoreProfile Engine::multicoreProfile(const ProgramVersion& version,
                                           const CacheTopology& topology,
                                           std::uint64_t timeSteps,
                                           const MulticoreCostModel& cost) {
-  const DataLayout layout = version.layoutAt(n);
-  const Signature key = Impl::multicoreKey(version.program, layout, n,
-                                           timeSteps, topology, cost);
-  return impl_->syncArtifact(impl_->multicores, key, [&] {
-    return impl_->multicoreFor(key, version, layout, n, timeSteps, topology,
-                               cost);
-  });
+  return impl_->get<Impl::MulticoreKind>(
+      {{version, n, timeSteps}, topology, cost});
 }
 
 Future<Reply> Engine::submit(Request request) {
-  Impl& impl = *impl_;
   return std::visit(
-      [&impl](auto&& alternative) {
-        return impl.submitOne(std::move(alternative));
+      [this](auto& alternative) {
+        return Future<Reply>(impl_->submitOne(std::move(alternative)));
       },
-      std::move(request));
+      request);
 }
 
 std::vector<Measurement> Engine::measureAll(
     const std::vector<MeasureTask>& tasks) {
-  std::vector<Future<Reply>> futures;
-  futures.reserve(tasks.size());
-  for (const MeasureTask& t : tasks)
-    futures.push_back(submit(MeasureTask{t.version.clone(), t.n, t.machine,
-                                         t.timeSteps, t.cost}));
-  std::vector<Measurement> out;
-  out.reserve(tasks.size());
-  for (const Future<Reply>& f : futures)
-    out.push_back(replyAs<Measurement>(f.get()));
-  return out;
+  return impl_->batch(tasks);
 }
 
 std::vector<ReuseProfile> Engine::reuseProfilesOf(
     const std::vector<ReuseTask>& tasks) {
-  std::vector<Future<Reply>> futures;
-  futures.reserve(tasks.size());
-  for (const ReuseTask& t : tasks)
-    futures.push_back(submit(ReuseTask{t.version.clone(), t.n, t.timeSteps}));
-  std::vector<ReuseProfile> out;
-  out.reserve(tasks.size());
-  for (const Future<Reply>& f : futures)
-    out.push_back(replyAs<ReuseProfile>(f.get()));
-  return out;
+  return impl_->batch(tasks);
 }
 
 Engine::Stats Engine::stats() const {
   Stats s;
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    s = Stats{impl_->pipelines.counters(),    impl_->plans.counters(),
-              impl_->measurements.counters(), impl_->profiles.counters(),
-              impl_->symbolics.counters(),    impl_->multicores.counters(),
-              impl_->inflightCoalesced,       store::StoreCounters{}};
+    s = Stats{impl_->pipelines.done.counters(),
+              impl_->plans.done.counters(),
+              impl_->measurements.done.counters(),
+              impl_->profiles.done.counters(),
+              impl_->symbolics.done.counters(),
+              impl_->multicores.done.counters(),
+              impl_->inflightCoalesced,
+              store::StoreCounters{}};
   }
   // The store has its own lock; never hold both.
   if (impl_->diskStore) s.store = impl_->diskStore->counters();
@@ -673,12 +539,12 @@ std::string Engine::cacheDirInUse() const {
 
 void Engine::clearCaches() {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->pipelines.clear();
-  impl_->plans.clear();
-  impl_->measurements.clear();
-  impl_->profiles.clear();
-  impl_->symbolics.clear();
-  impl_->multicores.clear();
+  impl_->pipelines.done.clear();
+  impl_->plans.done.clear();
+  impl_->measurements.done.clear();
+  impl_->profiles.done.clear();
+  impl_->symbolics.done.clear();
+  impl_->multicores.done.clear();
 }
 
 }  // namespace gcr

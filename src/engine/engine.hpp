@@ -1,5 +1,5 @@
 // gcr::Engine — the session runtime and single entry point for optimization
-// and measurement (the tentpole of the Engine PR).
+// and measurement.
 //
 // An Engine owns two cooperating mechanisms:
 //
@@ -12,52 +12,54 @@
 //        measurement   (program, layout, n, timeSteps,
 //                       machine, cost)                       → Measurement
 //        reuse profile (program, layout, n, timeSteps, rate) → ReuseProfile
+//        symbolic      (program, names, minN)                → Symbolic-
+//                                                              ReuseProfile
 //        multicore     (program, layout, n, timeSteps,
 //                       topology, cost)                      → MulticoreProfile
 //      Each cache is LRU-bounded with hit/miss/eviction counters (stats()).
-//      Cached results are returned verbatim, so a warm lookup is
-//      byte-identical to the cold computation that populated it — enforced
-//      by tests, and the basis of the cache-amortized sweep speedups
-//      reported in EXPERIMENTS.md.
+//      Every kind is one entry of a private traits table (key, store codec,
+//      compute, cache) driven by ONE resolve() path: probe the cache, attach
+//      to identical in-flight work, or compute — disk tier first — and
+//      publish.  Artifacts hold only simulated or analyzed fields, so the
+//      same request yields the same bytes (store/codec.hpp) whether it was
+//      computed cold, served from memory, or read back from disk.
 //
 //   2. An async batch scheduler behind ONE entry point: submit(Request)
-//      returns immediately with a Future<Reply>; the work runs on the
-//      session's thread pool.  Request is the tagged variant of every work
-//      kind (engine/request.hpp) — its tag doubles as the store's
-//      ArtifactKind and the server's wire message kind, so adding an
-//      artifact extends one enum, not three APIs.  Identical in-flight work
-//      is deduplicated across the async and synchronous paths (two
-//      submissions of the same signature share one computation), and each
-//      task resolves its dependencies through the caches stage by stage —
-//      pipeline, then compiled plan, then simulation — so a sweep over
-//      sizes and machines compiles each plan once and runs each distinct
-//      simulation once.  measureAll()/reuseProfilesOf() keep PR 1's
-//      slot-per-task contract: result i belongs to tasks[i], bit-identical
-//      for any GCR_THREADS.
+//      returns immediately with a Future<Reply>; a hit resolves at once and
+//      a miss computes on the session's thread pool.  Request is the tagged
+//      variant of every work kind (engine/request.hpp) — its tag doubles as
+//      the store's ArtifactKind and the server's wire message kind, so
+//      adding an artifact extends one enum, not three APIs.  Identical
+//      in-flight work is deduplicated across the async and synchronous paths
+//      (two requests for the same signature share one computation), and each
+//      task resolves its dependencies through the same path — pipeline, then
+//      compiled plan, then simulation — so a sweep over sizes and machines
+//      compiles each plan once and runs each distinct simulation once.
+//      measureAll()/reuseProfilesOf() keep the slot-per-task contract:
+//      result i belongs to tasks[i], bit-identical for any GCR_THREADS.
 //
-// Determinism: simulated fields never depend on thread count, submission
-// order, or cache state; only the wall-clock observability fields
-// (Measurement::wallSeconds/accessesPerSecond, MulticoreProfile::
-// wallSeconds) vary run to run, and a cache hit reproduces even those
-// verbatim from the original computation.
+// The synchronous façade resolves on the calling thread (a gcr-server
+// session computes on its own thread at any pool size); only submit() and
+// the batch calls hand misses to the pool.
 //
 // Configuration is one record, EngineConfig (engine/config.hpp), with one
 // environment-precedence rule: explicit field > GCR_* variable > default.
-// The resolved engine is fixed at Engine construction: "walk" bypasses the
-// plan cache and routes measurement through the tree-walking oracle; every
-// other value runs trace generation through the compiled plan.  Both
-// produce bit-identical simulated fields.
+// The resolved engine is fixed at Engine construction: TreeWalk bypasses
+// the plan cache and runs the tree-walking oracle; every other value runs
+// trace generation through the cached compiled plan (falling back to the
+// walker for a program the plan compiler declines, except when the
+// resolved engine is Plan, which fails instead).  Both produce
+// bit-identical results.
 //
 // Persistent disk tier: with EngineConfig::cacheDir (or the GCR_CACHE_DIR
 // environment variable) set, the in-memory caches are backed by an on-disk
 // content-addressed artifact store (store/store.hpp).  A miss in memory
 // consults the disk before computing; a fresh computation is published to
-// both tiers.  Stored values are returned verbatim — a cold *process* with
-// a warm *disk* reproduces the original results bit-for-bit, wall-clock
-// fields included — and any disk-level corruption degrades to a recompute,
-// never a wrong result.  Compiled plans themselves are never persisted:
-// they borrow in-memory pointers, and recompiling one is cheap next to the
-// simulation it drives.
+// both tiers.  A cold *process* with a warm *disk* reproduces the original
+// results bit-for-bit, and any disk-level corruption or codec-version
+// mismatch degrades to a recompute, never a wrong result.  Compiled plans
+// themselves are never persisted: they borrow in-memory pointers, and
+// recompiling one is cheap next to the simulation it drives.
 #pragma once
 
 #include <cstdint>
@@ -111,8 +113,8 @@ class Engine {
                          const VersionSpec& spec = {});
 
   /// Memoized measure(): simulate `version` at size n on `machine`.  Uses
-  /// the plan cache for the address stream; falls back to the tree walker
-  /// exactly as the free measure() does when the program does not qualify.
+  /// the plan cache for the address stream (or the tree walker, per the
+  /// resolved engine; see the header comment).
   Measurement measure(const ProgramVersion& version, std::int64_t n,
                       const MachineConfig& machine,
                       std::uint64_t timeSteps = 1, const CostModel& cost = {});
@@ -149,8 +151,8 @@ class Engine {
   Future<Reply> submit(Request request);
 
   /// Batch measure with slot-per-task determinism: result i belongs to
-  /// tasks[i] for any thread count; adds memoization and in-flight
-  /// deduplication over detail::measureAllUncached().
+  /// tasks[i] for any thread count.  Each task is memoized and deduplicated
+  /// like a submit(), without copying its version.
   std::vector<Measurement> measureAll(const std::vector<MeasureTask>& tasks);
 
   /// Batch reuse profiling, same contract.

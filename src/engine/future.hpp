@@ -37,12 +37,4 @@ class Future {
   std::shared_future<T> f_;
 };
 
-/// A future that is already fulfilled (cache hits at submission time).
-template <typename T>
-Future<T> makeReadyFuture(T value) {
-  std::promise<T> p;
-  p.set_value(std::move(value));
-  return Future<T>(p.get_future().share());
-}
-
 }  // namespace gcr

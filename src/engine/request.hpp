@@ -9,7 +9,8 @@
 //
 // Request and Reply are move-only (Program is move-only); clone() into a
 // request.  A Reply obtained from Future<Reply>::get() is shared with every
-// coalesced waiter — read it via replyAs<T>() and copy (or clone()) out.
+// coalesced waiter and later cache hit — read it via replyAs<T>() and copy
+// (or clone()) out.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "locality/multicore.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "support/assert.hpp"
@@ -70,7 +69,6 @@ MulticoreProfile analyzeMulticore(const AccessPlan& plan,
                                   ThreadPool* pool) {
   GCR_CHECK(topo.cores >= 1, "topology needs at least one core");
   GCR_CHECK(topo.llc.lineSize > 0, "topology LLC needs a line size");
-  const auto t0 = std::chrono::steady_clock::now();
   const int cores = topo.cores;
 
   struct CoreOut {
@@ -122,9 +120,6 @@ MulticoreProfile analyzeMulticore(const AccessPlan& plan,
         mp.cycles,
         cost.coreCycles(c.refs, c.l1Misses, c.l2Misses,
                         static_cast<double>(c.l2Misses) * mp.llcMissFraction));
-  mp.wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return mp;
 }
 

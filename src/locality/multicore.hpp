@@ -75,10 +75,6 @@ struct MulticoreProfile {
   /// l2Misses * llcMissFraction.
   double cycles = 0.0;
 
-  // Analysis-throughput observability (varies run to run; excluded from
-  // determinism comparisons, reproduced verbatim on a cache hit).
-  double wallSeconds = 0.0;
-
   std::uint64_t totalRefs() const {
     std::uint64_t sum = 0;
     for (const CoreCacheStats& c : perCore) sum += c.refs;

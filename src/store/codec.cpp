@@ -11,11 +11,11 @@ namespace {
 // Per-codec payload versions, bumped independently of the file format when
 // an artifact's encoding changes; a mismatch rejects (recompute), never
 // mis-parses.
-constexpr std::uint32_t kMeasurementCodec = 1;
+constexpr std::uint32_t kMeasurementCodec = 2;
 constexpr std::uint32_t kProfileCodec = 1;
 constexpr std::uint32_t kPipelineCodec = 1;
 constexpr std::uint32_t kSymbolicProfileCodec = 1;
-constexpr std::uint32_t kMulticoreProfileCodec = 1;
+constexpr std::uint32_t kMulticoreProfileCodec = 2;
 
 // Nesting bound for the recursive Program decoder.  Real pipelines produce
 // single-digit depths; the cap only guards the stack against a
@@ -321,8 +321,6 @@ std::vector<std::uint8_t> encodeMeasurement(const Measurement& m) {
   w.f64(m.cycles);
   w.u64(m.memoryTrafficBytes);
   w.f64(m.effectiveBandwidth);
-  w.f64(m.wallSeconds);
-  w.f64(m.accessesPerSecond);
   return w.take();
 }
 
@@ -340,8 +338,6 @@ std::optional<Measurement> decodeMeasurement(
     m.cycles = r.f64();
     m.memoryTrafficBytes = r.u64();
     m.effectiveBandwidth = r.f64();
-    m.wallSeconds = r.f64();
-    m.accessesPerSecond = r.f64();
     return m;
   });
 }
@@ -526,7 +522,6 @@ std::vector<std::uint8_t> encodeMulticoreProfile(const MulticoreProfile& p) {
   w.u64(p.sharedColdLines);
   w.f64(p.llcMissFraction);
   w.f64(p.cycles);
-  w.f64(p.wallSeconds);
   return w.take();
 }
 
@@ -560,7 +555,6 @@ std::optional<MulticoreProfile> decodeMulticoreProfile(
         p.sharedColdLines = r.u64();
         p.llcMissFraction = r.f64();
         p.cycles = r.f64();
-        p.wallSeconds = r.f64();
         return p;
       });
 }

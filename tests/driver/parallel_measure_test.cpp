@@ -1,11 +1,13 @@
 // Determinism of the parallel measurement engine: the Figure-10 version
-// sets, swept with 1, 2, and 4 threads, must produce results bit-identical
-// to plain sequential measure() calls — same MissCounts, same cycles, same
-// histogram contents.  Only the wall-clock observability fields may differ.
+// sets, swept through Engine::measureAll / Engine::reuseProfilesOf on a
+// fresh memory-only Engine with 1, 2, and 4 threads, must produce results
+// bit-identical to plain sequential measure() calls — same MissCounts, same
+// cycles, same histogram contents.
 #include <gtest/gtest.h>
 
 #include "apps/registry.hpp"
 #include "driver/measure.hpp"
+#include "engine/engine.hpp"
 
 namespace gcr {
 namespace {
@@ -22,6 +24,11 @@ void expectIdentical(const Measurement& a, const Measurement& b,
   EXPECT_EQ(a.cycles, b.cycles) << what;  // exact double equality
   EXPECT_EQ(a.memoryTrafficBytes, b.memoryTrafficBytes) << what;
   EXPECT_EQ(a.effectiveBandwidth, b.effectiveBandwidth) << what;
+}
+
+/// A fresh memory-only session: nothing cached, no disk tier.
+EngineConfig freshSession(int threads) {
+  return EngineConfig().withThreads(threads).withCacheDir("");
 }
 
 // The Figure-10 version set of one app as a task list.
@@ -60,8 +67,8 @@ TEST_P(ParallelMeasureDeterminism, BitIdenticalForEveryThreadCount) {
     reference.push_back(measure(t.version, t.n, t.machine, t.timeSteps));
 
   for (int threads : {1, 2, 4}) {
-    const std::vector<Measurement> got =
-        detail::measureAllUncached(tasks, threads);
+    Engine engine(freshSession(threads));
+    const std::vector<Measurement> got = engine.measureAll(tasks);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i)
       expectIdentical(got[i], reference[i],
@@ -83,8 +90,8 @@ TEST_P(ParallelMeasureDeterminism, ReuseProfilesBitIdentical) {
     reference.push_back(reuseProfileOf(t.version, t.n, t.timeSteps));
 
   for (int threads : {1, 2, 4}) {
-    const std::vector<ReuseProfile> got =
-        detail::reuseProfilesOfUncached(tasks, threads);
+    Engine engine(freshSession(threads));
+    const std::vector<ReuseProfile> got = engine.reuseProfilesOf(tasks);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       // Full histogram contents, cold bin included.
@@ -109,7 +116,8 @@ TEST(ParallelMeasure, MergedProfileSumsTasks) {
   std::vector<ReuseTask> tasks;
   tasks.push_back({.version = makeVersion(p, Strategy::NoOpt), .n = 32});
   tasks.push_back({.version = makeVersion(p, Strategy::NoOpt), .n = 64});
-  const std::vector<ReuseProfile> profs = detail::reuseProfilesOfUncached(tasks);
+  Engine engine(freshSession(0));
+  const std::vector<ReuseProfile> profs = engine.reuseProfilesOf(tasks);
   const ReuseProfile merged = mergeProfiles(profs);
   EXPECT_EQ(merged.accesses, profs[0].accesses + profs[1].accesses);
   EXPECT_EQ(merged.histogram.totalFinite(),

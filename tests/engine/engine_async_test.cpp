@@ -31,7 +31,6 @@ TEST(EngineAsync, SubmitResolvesToSyncResult) {
   const Measurement sync = engine.measure(v, 32, m);
   // The second call is a cache hit on the first, so all fields agree.
   EXPECT_TRUE(sameSimulatedFields(async, sync));
-  EXPECT_EQ(async.wallSeconds, sync.wallSeconds);
 }
 
 TEST(EngineAsync, InFlightDuplicatesCoalesceUnderFourThreads) {
@@ -56,10 +55,8 @@ TEST(EngineAsync, InFlightDuplicatesCoalesceUnderFourThreads) {
   for (Future<Reply>& f : futures)
     results.push_back(replyAs<Measurement>(f.get()));
 
-  for (int i = 1; i < kDup; ++i) {
+  for (int i = 1; i < kDup; ++i)
     EXPECT_TRUE(sameSimulatedFields(results[0], results[i]));
-    EXPECT_EQ(results[0].wallSeconds, results[i].wallSeconds);
-  }
   // Every submission after the first is either a cache hit (the simulation
   // already landed) or coalesced onto the in-flight computation; the cache
   // ends up with exactly one entry either way.  (A coalescing submission

@@ -21,12 +21,6 @@ bool sameSimulatedFields(const Measurement& a, const Measurement& b) {
          a.effectiveBandwidth == b.effectiveBandwidth;
 }
 
-/// Cached values replay verbatim: even wall-clock fields must round-trip.
-bool byteIdentical(const Measurement& a, const Measurement& b) {
-  return sameSimulatedFields(a, b) && a.wallSeconds == b.wallSeconds &&
-         a.accessesPerSecond == b.accessesPerSecond;
-}
-
 TEST(EngineCache, WarmMeasurementIsByteIdenticalToCold) {
   Engine engine;
   Program p = apps::buildApp("ADI");
@@ -35,10 +29,28 @@ TEST(EngineCache, WarmMeasurementIsByteIdenticalToCold) {
 
   const Measurement cold = engine.measure(v, 40, m);
   const Measurement warm = engine.measure(v, 40, m);
-  EXPECT_TRUE(byteIdentical(cold, warm));
+  EXPECT_EQ(store::encodeMeasurement(cold), store::encodeMeasurement(warm));
   const Engine::Stats s = engine.stats();
   EXPECT_EQ(s.measurement.hits, 1u);
   EXPECT_EQ(s.measurement.misses, 1u);
+}
+
+TEST(EngineCache, FreshEnginesEncodeIdenticalBytes) {
+  // Artifacts hold simulated fields only, so two sessions that compute the
+  // same requests independently agree to the byte.
+  const MachineConfig m = MachineConfig::origin2000();
+  const CacheTopology topo = CacheTopology::symmetric(2).scaledDown(16);
+  const Program p = apps::buildApp("Swim");
+  std::vector<std::uint8_t> measured[2], multicore[2];
+  for (int i = 0; i < 2; ++i) {
+    Engine engine(EngineConfig().withCacheDir(""));
+    const ProgramVersion v = engine.version(p, Strategy::FusedRegrouped);
+    measured[i] = store::encodeMeasurement(engine.measure(v, 32, m));
+    multicore[i] =
+        store::encodeMulticoreProfile(engine.multicoreProfile(v, 20, topo));
+  }
+  EXPECT_EQ(measured[0], measured[1]);
+  EXPECT_EQ(multicore[0], multicore[1]);
 }
 
 TEST(EngineCache, EngineAgreesWithDirectPrimitives) {

@@ -14,6 +14,7 @@
 
 #include "apps/registry.hpp"
 #include "engine/engine.hpp"
+#include "store/codec.hpp"
 #include "support/env.hpp"
 
 namespace gcr {
@@ -130,6 +131,26 @@ TEST(EngineConfig, BuilderChainsAndReturnsSelf) {
   EXPECT_EQ(c.resolveCacheDir(), "/tmp/x");
   EXPECT_FALSE(c.storeFsync);
   EXPECT_EQ(c.storeMaxBytes, 1u << 20);
+}
+
+TEST(EngineConfig, ExplicitTreeWalkBypassesThePlanCache) {
+  // An explicit engine beats an unset GCR_ENGINE: the session must run the
+  // tree walker itself, never a plan, and match a plan session bit for bit.
+  EnvGuard unset("GCR_ENGINE", nullptr);
+  const MachineConfig m = MachineConfig::origin2000();
+  const Program p = apps::buildApp("Tomcatv");
+  Engine walk(EngineConfig().withEngine(ExecEngine::TreeWalk).withCacheDir(""));
+  Engine plan(EngineConfig().withEngine(ExecEngine::Plan).withCacheDir(""));
+  const ProgramVersion vw = walk.version(p, Strategy::FusedRegrouped);
+  const ProgramVersion vp = plan.version(p, Strategy::FusedRegrouped);
+
+  EXPECT_EQ(store::encodeMeasurement(walk.measure(vw, 24, m, 2)),
+            store::encodeMeasurement(plan.measure(vp, 24, m, 2)));
+  EXPECT_EQ(store::encodeReuseProfile(walk.reuseProfile(vw, 24)),
+            store::encodeReuseProfile(plan.reuseProfile(vp, 24)));
+  EXPECT_EQ(walk.stats().plan.misses, 0u);
+  EXPECT_EQ(walk.stats().plan.entries, 0u);
+  EXPECT_EQ(plan.stats().plan.misses, 2u);  // one plan per (n, timeSteps)
 }
 
 TEST(EngineConfig, LiveEngineResolvesPrecedenceAtConstruction) {

@@ -27,7 +27,7 @@ TEST(EngineMulticore, WarmProfileIsByteIdenticalToCold) {
 
   const MulticoreProfile cold = engine.multicoreProfile(v, 20, smallTopo(4));
   const MulticoreProfile warm = engine.multicoreProfile(v, 20, smallTopo(4));
-  // Cached values replay verbatim, wallSeconds included.
+  // Cached values replay verbatim.
   EXPECT_EQ(store::encodeMulticoreProfile(cold),
             store::encodeMulticoreProfile(warm));
   const Engine::Stats s = engine.stats();
@@ -48,7 +48,6 @@ TEST(EngineMulticore, EngineAgreesWithDirectAnalysis) {
   ASSERT_TRUE(c.ok()) << c.reason;
   MulticoreProfile direct = analyzeMulticore(*c.plan, topo);
 
-  viaEngine.wallSeconds = direct.wallSeconds = 0.0;
   EXPECT_EQ(store::encodeMulticoreProfile(viaEngine),
             store::encodeMulticoreProfile(direct));
 }

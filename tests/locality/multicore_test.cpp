@@ -131,9 +131,6 @@ TEST(MulticoreModel, ThreadPoolDoesNotChangeTheResult) {
   MulticoreProfile p1 = analyzeMulticore(*c->compiled.plan, topo, {}, &one);
   MulticoreProfile p4 = analyzeMulticore(*c->compiled.plan, topo, {}, &four);
 
-  // Wall-clock is observability, not a result; normalize before comparing
-  // the canonical encodings byte for byte.
-  inline_.wallSeconds = p1.wallSeconds = p4.wallSeconds = 0.0;
   const std::vector<std::uint8_t> a = store::encodeMulticoreProfile(inline_);
   EXPECT_EQ(a, store::encodeMulticoreProfile(p1));
   EXPECT_EQ(a, store::encodeMulticoreProfile(p4));

@@ -46,13 +46,6 @@ MeasureRequest adiRequest(std::int64_t n = 32) {
   return req;
 }
 
-bool sameSimulatedFields(const Measurement& a, const Measurement& b) {
-  return std::memcmp(&a.counts, &b.counts, sizeof a.counts) == 0 &&
-         a.cycles == b.cycles &&
-         a.memoryTrafficBytes == b.memoryTrafficBytes &&
-         a.effectiveBandwidth == b.effectiveBandwidth;
-}
-
 /// Raw-byte connection for the malicious-client cases.  `recvTimeoutMs`
 /// bounds every read: a malicious frame can leave BOTH sides legitimately
 /// waiting (the server for a promised payload, this test for a reply), and
@@ -96,14 +89,16 @@ TEST(Server, MeasureMatchesDirectEngineAndWarmDuplicateIsVerbatim) {
   ASSERT_TRUE(wire.ok()) << wire.message;
   const std::vector<std::uint8_t> firstPayload = client->lastPayload();
 
+  // The wire payload is the store codec of a direct in-process run, byte
+  // for byte.
   Engine direct;
   const Measurement local = direct.measure(
       direct.version(apps::buildApp("ADI"), Strategy::Fused,
                      req.spec.versionSpec()),
       req.n, req.machine, req.timeSteps, req.cost);
-  EXPECT_TRUE(sameSimulatedFields(*wire, local));
+  EXPECT_EQ(firstPayload, store::encodeMeasurement(local));
 
-  // Warm duplicate: a cache replay is bit-exact, wall-clock fields and all.
+  // Warm duplicate: a cache replay sends the same bytes.
   const Result<Measurement> dup = client->measure(req);
   ASSERT_TRUE(dup.ok());
   EXPECT_EQ(client->lastPayload(), firstPayload);
@@ -190,17 +185,13 @@ TEST(Server, MulticoreMatchesDirectEngineAndWarmDuplicateIsVerbatim) {
   const std::vector<std::uint8_t> firstPayload = client->lastPayload();
 
   // The wire payload is the store codec verbatim: a direct in-process
-  // Engine run serializes to the same bytes (wall-clock aside, which the
-  // warm duplicate below pins exactly).
+  // Engine run serializes to the same bytes.
   Engine direct;
   const MulticoreProfile local = direct.multicoreProfile(
       direct.version(apps::buildApp("ADI"), Strategy::Fused,
                      req.spec.versionSpec()),
       req.n, req.topology, req.timeSteps);
-  MulticoreProfile a = *wire, b = local;
-  a.wallSeconds = b.wallSeconds = 0.0;
-  EXPECT_EQ(store::encodeMulticoreProfile(a),
-            store::encodeMulticoreProfile(b));
+  EXPECT_EQ(firstPayload, store::encodeMulticoreProfile(local));
 
   const Result<MulticoreProfile> dup = client->multicore(req);
   ASSERT_TRUE(dup.ok());
@@ -251,13 +242,11 @@ TEST(Server, ConcurrentMulticoreSessionsOnAThreadedEngineMatchDirectRuns) {
           wire[static_cast<std::size_t>(s * kRounds + r)];
       ASSERT_TRUE(got.ok()) << got.message;
       const MulticoreRequest req = requestFor(s, r);
-      MulticoreProfile want = direct.multicoreProfile(
+      const MulticoreProfile want = direct.multicoreProfile(
           direct.version(apps::buildApp(req.spec.app), req.spec.strategy,
                          req.spec.versionSpec()),
           req.n, req.topology, req.timeSteps);
-      MulticoreProfile have = *got;
-      want.wallSeconds = have.wallSeconds = 0.0;
-      EXPECT_EQ(store::encodeMulticoreProfile(have),
+      EXPECT_EQ(store::encodeMulticoreProfile(*got),
                 store::encodeMulticoreProfile(want))
           << "session " << s << " round " << r;
     }

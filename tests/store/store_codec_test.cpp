@@ -30,9 +30,7 @@ bool sameMeasurement(const Measurement& a, const Measurement& b) {
   return std::memcmp(&a.counts, &b.counts, sizeof a.counts) == 0 &&
          sameDouble(a.cycles, b.cycles) &&
          a.memoryTrafficBytes == b.memoryTrafficBytes &&
-         sameDouble(a.effectiveBandwidth, b.effectiveBandwidth) &&
-         sameDouble(a.wallSeconds, b.wallSeconds) &&
-         sameDouble(a.accessesPerSecond, b.accessesPerSecond);
+         sameDouble(a.effectiveBandwidth, b.effectiveBandwidth);
 }
 
 bool sameProfile(const ReuseProfile& a, const ReuseProfile& b) {
@@ -69,8 +67,6 @@ Measurement oddballMeasurement() {
   m.cycles = 0.1 + 0.2;  // not exactly 0.3
   m.memoryTrafficBytes = ~std::uint64_t{0} - 17;
   m.effectiveBandwidth = std::numeric_limits<double>::quiet_NaN();
-  m.wallSeconds = -0.0;
-  m.accessesPerSecond = std::numeric_limits<double>::denorm_min();
   return m;
 }
 
@@ -375,7 +371,6 @@ MulticoreProfile oddballMulticoreProfile() {
   p.sharedColdLines = 126;
   p.llcMissFraction = 0.125;
   p.cycles = 1.5e9;
-  p.wallSeconds = 0.25;
   return p;
 }
 

@@ -1,13 +1,12 @@
 // Engine <-> disk-tier integration: a cold *process* (modelled as a fresh
 // Engine, whose in-memory caches are empty) with a warm *disk* must
-// reproduce the original results bit-for-bit — wall-clock observability
-// fields included, because stored artifacts are returned verbatim — while
-// an engine with no store computes the same simulated fields from scratch.
+// reproduce the original results bit-for-bit, while an engine with no store
+// computes the same results from scratch, and an entry in a retired codec
+// version is recomputed and republished rather than served.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdlib>
-#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "../common/random_program.hpp"
@@ -15,27 +14,13 @@
 #include "apps/registry.hpp"
 #include "engine/engine.hpp"
 #include "store/codec.hpp"
+#include "support/serialize.hpp"
 
 namespace gcr {
 namespace {
 
 bool bitIdentical(const Measurement& a, const Measurement& b) {
-  auto d = [](double x, double y) {
-    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
-  };
-  return std::memcmp(&a.counts, &b.counts, sizeof a.counts) == 0 &&
-         d(a.cycles, b.cycles) &&
-         a.memoryTrafficBytes == b.memoryTrafficBytes &&
-         d(a.effectiveBandwidth, b.effectiveBandwidth) &&
-         d(a.wallSeconds, b.wallSeconds) &&
-         d(a.accessesPerSecond, b.accessesPerSecond);
-}
-
-bool sameSimulatedFields(const Measurement& a, const Measurement& b) {
-  return std::memcmp(&a.counts, &b.counts, sizeof a.counts) == 0 &&
-         a.cycles == b.cycles &&
-         a.memoryTrafficBytes == b.memoryTrafficBytes &&
-         a.effectiveBandwidth == b.effectiveBandwidth;
+  return store::encodeMeasurement(a) == store::encodeMeasurement(b);
 }
 
 bool sameProfile(const ReuseProfile& a, const ReuseProfile& b) {
@@ -77,7 +62,6 @@ TEST(StoreEngine, WarmDiskColdProcessIsBitForBitIdentical) {
   const Measurement replay = cold.measure(v, 16, machine);
   const ReuseProfile replayProfile = cold.reuseProfile(v, 16);
 
-  // Verbatim replay: even wallSeconds/accessesPerSecond come back from disk.
   EXPECT_TRUE(bitIdentical(first, replay));
   EXPECT_TRUE(sameProfile(firstProfile, replayProfile));
   const Engine::Stats s = cold.stats();
@@ -103,7 +87,7 @@ TEST(StoreEngine, DiskTierMatchesStorelessEngine) {
       const Measurement want = bare.measure(bare.version(p, s), 16, machine);
       const Measurement got =
           stored.measure(stored.version(p, s), 16, machine);
-      EXPECT_TRUE(sameSimulatedFields(want, got))
+      EXPECT_TRUE(bitIdentical(want, got))
           << "seed " << seed << " strategy " << static_cast<int>(s);
     }
   }
@@ -247,6 +231,83 @@ TEST(StoreEngine, SymbolicProfilePersistsAcrossEngines) {
   (void)cold.symbolicProfile(p);
   EXPECT_EQ(cold.stats().symbolic.hits, 1u);
   EXPECT_EQ(cold.stats().store.hits, diskHits);
+}
+
+/// A codec-v1 Measurement payload (the format before the wall-clock fields
+/// were dropped): every simulated field, then two wall-clock doubles.  The
+/// reference count is `sentinel`.
+std::vector<std::uint8_t> v1MeasurementPayload(std::uint64_t sentinel) {
+  ByteWriter w;
+  w.u32(1).u64(sentinel);
+  for (int i = 0; i < 6; ++i) w.u64(0);  // the other MissCounts
+  w.f64(1.0).u64(0).f64(0.5);            // cycles, traffic, bandwidth
+  w.f64(0.25).f64(4.0);                  // the retired wall-clock pair
+  return w.take();
+}
+
+/// A codec-v1 MulticoreProfile payload: one core whose reference count is
+/// `sentinel`, an empty shared histogram, and the retired wall-clock double.
+std::vector<std::uint8_t> v1MulticorePayload(std::uint64_t sentinel) {
+  ByteWriter w;
+  w.u32(1).u32(1).u8(0).u64(64);  // version, cores, Block, LLC lines
+  w.u64(1).u64(sentinel);         // one per-core record: refs ...
+  for (int i = 0; i < 5; ++i) w.u64(0);  // ... and its other counters
+  w.u64(0).u64(0);                // shared histogram: no cold, no bins
+  w.u64(0).u64(0);                // shared accesses, shared cold lines
+  w.f64(0.0).f64(1.0).f64(0.25);  // miss fraction, cycles, wall clock
+  return w.take();
+}
+
+TEST(StoreEngine, CodecV1EntriesAreRecomputedAndRepublishedAsV2) {
+  testing::ScopedTempDir dir("gcr-engine-store");
+  const MachineConfig machine = MachineConfig::origin2000();
+  const CacheTopology topo = CacheTopology::symmetric(2).scaledDown(16);
+  const Program p = apps::buildApp("ADI");
+  constexpr std::uint64_t kSentinel = 0x5e471e1;
+
+  std::vector<std::uint8_t> measured, multicore;
+  {
+    Engine first(optionsWithDir(dir.path()));
+    const ProgramVersion v = first.version(p, Strategy::Fused);
+    measured = store::encodeMeasurement(first.measure(v, 24, machine));
+    multicore = store::encodeMulticoreProfile(
+        first.multicoreProfile(v, 20, topo));
+  }
+
+  // Overwrite both published entries with parent-format payloads.
+  auto disk = store::ArtifactStore::open({.dir = dir.path(), .fsync = false});
+  ASSERT_NE(disk, nullptr);
+  std::vector<std::pair<store::ArtifactKind, Signature>> downgraded;
+  for (const auto& e : disk->scan()) {
+    const store::ArtifactKind kind = e.header.kind;
+    if (kind == store::ArtifactKind::Measurement)
+      ASSERT_TRUE(disk->put(kind, e.header.signature,
+                            v1MeasurementPayload(kSentinel)));
+    else if (kind == store::ArtifactKind::MulticoreProfile)
+      ASSERT_TRUE(disk->put(kind, e.header.signature,
+                            v1MulticorePayload(kSentinel)));
+    else
+      continue;
+    downgraded.emplace_back(kind, e.header.signature);
+  }
+  ASSERT_EQ(downgraded.size(), 2u);
+
+  // A fresh Engine must not serve the sentinels: it recomputes...
+  Engine fresh(optionsWithDir(dir.path()));
+  const ProgramVersion v = fresh.version(p, Strategy::Fused);
+  EXPECT_EQ(store::encodeMeasurement(fresh.measure(v, 24, machine)), measured);
+  EXPECT_EQ(store::encodeMulticoreProfile(fresh.multicoreProfile(v, 20, topo)),
+            multicore);
+
+  // ... and republishes the current encoding under the same keys.
+  for (const auto& [kind, sig] : downgraded) {
+    const std::optional<store::MappedEntry> entry = disk->get(kind, sig);
+    ASSERT_TRUE(entry.has_value());
+    const std::vector<std::uint8_t> payload(entry->payload().begin(),
+                                            entry->payload().end());
+    EXPECT_EQ(payload, kind == store::ArtifactKind::Measurement ? measured
+                                                                : multicore);
+  }
 }
 
 }  // namespace
