@@ -65,6 +65,34 @@ TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(SetAssocCache(CacheConfig{3 * 32 * 2, 32, 2, "bad"}), Error);
 }
 
+TEST(Cache, RejectsGeometryWhoseWaySizeOverflows) {
+  // lineSize * ways and pageSize * entries wrap to 0 in 64 bits; the
+  // geometry must be rejected before anything divides by the product.
+  const std::int64_t huge = std::int64_t{1} << 62;
+  EXPECT_THROW(SetAssocCache(CacheConfig{1, huge, 4, "wrap"}), Error);
+  EXPECT_THROW(SetAssocCache(CacheConfig{huge, huge, 4, "wrap"}), Error);
+  EXPECT_THROW(makeTlb(4, huge), Error);
+  EXPECT_THROW(makeTlb(1 << 30, std::int64_t{1} << 40), Error);
+  EXPECT_THROW(makeTlb(4, 0), Error);
+  EXPECT_THROW(makeTlb(0, 4096), Error);
+  // A reach that fits still builds.
+  EXPECT_NO_THROW(makeTlb(1, huge));
+}
+
+TEST(Cache, RejectsNegativeAddresses) {
+  // An empty way is tagged -1, the block of every address in
+  // [-lineSize, -1]: a negative address must not "hit" an empty line.
+  SetAssocCache c(CacheConfig{2 * 32, 32, 2, "2w"});
+  EXPECT_THROW(c.access(-8, true), Error);
+  EXPECT_THROW(c.access(-1, false), Error);
+  EXPECT_THROW(c.prefetch(-32), Error);
+  EXPECT_EQ(c.stats().misses, 0u);
+  EXPECT_EQ(c.stats().prefetchFills, 0u);
+  // The cache is still empty: the first real access misses.
+  EXPECT_FALSE(c.access(0, true));
+  EXPECT_EQ(c.stats().misses, 1u);
+}
+
 TEST(Cache, PrefetchFillsAndHits) {
   SetAssocCache c = tiny(2, 8);
   c.prefetch(64);

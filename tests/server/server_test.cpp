@@ -285,6 +285,43 @@ TEST(Server, MulticoreBadGeometryIsBadRequestNotACrash) {
   EXPECT_TRUE(good.ok()) << good.message;
 }
 
+TEST(Server, OverflowingCacheGeometryIsBadRequestNotACrash) {
+  // Positive fields whose products wrap to 0 in 64 bits: lineSize * ways
+  // for a cache level, pageSize * tlbEntries for the TLB.
+  TestServer ts;
+  ASSERT_NE(ts.server, nullptr);
+  auto client = Client::connect(ts.socketPath, "t1");
+  ASSERT_NE(client, nullptr);
+  const std::int64_t huge = std::int64_t{1} << 62;
+
+  MeasureRequest l1 = adiRequest(16);
+  l1.machine.l1 = CacheConfig{1, huge, 4, "L1"};
+  const Result<Measurement> r1 = client->measure(l1);
+  ASSERT_FALSE(r1.ok());
+  EXPECT_EQ(r1.error, ErrorCode::BadRequest);
+
+  MeasureRequest tlb = adiRequest(16);
+  tlb.machine.pageSize = huge;
+  tlb.machine.tlbEntries = 4;
+  const Result<Measurement> r2 = client->measure(tlb);
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(r2.error, ErrorCode::BadRequest);
+
+  MulticoreRequest mc;
+  mc.spec.app = "ADI";
+  mc.n = 16;
+  mc.topology = CacheTopology::symmetric(2).scaledDown(16);
+  mc.topology.l2 = CacheConfig{1, huge, 4, "L2"};
+  const Result<MulticoreProfile> r3 = client->multicore(mc);
+  ASSERT_FALSE(r3.ok());
+  EXPECT_EQ(r3.error, ErrorCode::BadRequest);
+
+  // The daemon and the session survive all three.
+  const Result<StatsReply> stats = client->stats();
+  ASSERT_TRUE(stats.ok()) << stats.message;
+  EXPECT_GE(stats->server.requestsErrored, 3u);
+}
+
 // --- admission control -----------------------------------------------------
 
 TEST(Server, PerTenantLimitZeroRejectsWithBusy) {
