@@ -9,7 +9,7 @@
 
 #include "analysis/dependence.hpp"
 #include "analysis/legality.hpp"
-#include "analysis/static_reuse.hpp"
+#include "analysis/symbolic_reuse.hpp"
 #include "apps/registry.hpp"
 #include "driver/pipeline.hpp"
 #include "xform/distribute.hpp"
@@ -73,10 +73,14 @@ void BM_VerifyProgram(benchmark::State& state, const char* app) {
     benchmark::DoNotOptimize(verifyProgram(p, app).diags.size());
 }
 
+// The static reuse-profile estimate at one size: the symbolic analysis plus
+// one evaluation of its formulas.
 void BM_StaticReuseProfile(benchmark::State& state, const char* app) {
   Program p = apps::buildApp(app);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(estimateReuseProfile(p).accesses);
+  for (auto _ : state) {
+    const SymbolicReuseProfile sym = analyzeSymbolicReuse(p);
+    benchmark::DoNotOptimize(evaluateSymbolicProfile(sym, 64).accesses);
+  }
 }
 
 }  // namespace

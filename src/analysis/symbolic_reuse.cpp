@@ -5,17 +5,20 @@
 #include <unordered_map>
 
 #include "analysis/dependence.hpp"
-#include "interp/interp.hpp"
-#include "locality/sampled_reuse.hpp"
 #include "support/assert.hpp"
 
 namespace gcr {
 
 namespace {
 
-/// Symbolic mirror of static_reuse.cpp's VolumeModel: identical structure,
-/// every int64 replaced by a SymExpr, every max by symMax.  Evaluating any
-/// entry at a concrete n reproduces the numeric model's value exactly.
+/// Growth factor between minN and 2*minN above which a distance of
+/// indeterminate degree counts as evadable.
+constexpr double kEvadableFallbackGrowth = 1.5;
+
+/// The volume model: trip counts, per-iteration loop volumes and per-child
+/// subtree footprints as SymExprs.  Per-array footprints merge by max
+/// (references to one array overlap up to constant shifts, so max — not
+/// sum — models the union).
 struct SymVolumeModel {
   std::int64_t minN = 16;
   std::map<const Loop*, SymExpr> iterVol;
@@ -110,7 +113,7 @@ bool hasIncomparableGuard(const RefSite& s, std::int64_t minN) {
 
 /// Per-site candidate accumulator: the final distance is min over all
 /// offered formulas; the class label is the candidate minimizing the value
-/// at minN (first offer wins ties), mirroring the numeric offer() order.
+/// at minN (first offer wins ties).
 struct SiteCandidates {
   std::vector<SymExpr> distances;
   std::int64_t bestAtMinN = std::numeric_limits<std::int64_t>::max();
@@ -181,6 +184,16 @@ Materialized materialize(const SymbolicReuseProfile& p, std::int64_t n,
 
 }  // namespace
 
+const char* reuseClassName(ReuseClass c) {
+  switch (c) {
+    case ReuseClass::Cold: return "cold";
+    case ReuseClass::SameIteration: return "same-iteration";
+    case ReuseClass::LoopCarried: return "loop-carried";
+    case ReuseClass::CrossUnit: return "cross-unit";
+  }
+  return "?";
+}
+
 const char* symbolicBailoutName(SymbolicBailout b) {
   switch (b) {
     case SymbolicBailout::None: return "none";
@@ -225,7 +238,7 @@ SymbolicReuseProfile analyzeSymbolicReuse(const Program& p,
   const SymVolumeModel m = SymVolumeModel::build(sites, minN);
   out.footprint = m.totalFoot;
 
-  // Per-statement operand positions, for the hybrid tracer's attribution.
+  // Per-statement operand positions (reads in order, then the write).
   std::unordered_map<int, int> nextOperand;
   out.sites.reserve(S);
   for (const RefSite& s : sites) {
@@ -263,8 +276,9 @@ SymbolicReuseProfile analyzeSymbolicReuse(const Program& p,
         symMax(symConst(1), symMul(std::move(delta), vol), minN), minN);
   };
 
-  // The same all-pairs candidate scan as estimateReuseProfile(), with the
-  // n/2n evaluations replaced by symbolic sign decisions over n >= minN.
+  // Scan all same-array pairs (input reuse included; i == j covers a site
+  // reusing itself across iterations of an enclosing loop that none of its
+  // subscripts mention).  Delta signs are decided over all n >= minN.
   for (std::size_t i = 0; i < S; ++i) {
     for (std::size_t j = i; j < S; ++j) {
       const RefSite& a = sites[i];
@@ -310,7 +324,11 @@ SymbolicReuseProfile analyzeSymbolicReuse(const Program& p,
       }
       if (decided || bailed || i == j) continue;
 
+      // All common levels admit the same iteration: the reuse happens within
+      // one pass over the common nest.
       if (a.stack == b.stack) {
+        // Proxy for "distinct data touched between the two references in one
+        // body iteration": the statements in between, ~2 references each.
         cands[j].offer(ReuseClass::SameIteration, -1,
                        symConst(2 * (b.order - a.order)), minN);
         out.perSite[j].imprecise |= unknown;
@@ -364,12 +382,13 @@ SymbolicReuseProfile analyzeSymbolicReuse(const Program& p,
     if (e.degree.has_value()) {
       e.evadable = *e.degree > 0;
     } else {
-      // Indeterminate growth class: fall back to the numeric test at the
-      // domain edge (the default StaticReuseOptions growth factor).
+      // Indeterminate growth class: fall back to a numeric growth test at
+      // the domain edge.
       const std::int64_t d1 = dist.eval(minN);
       const std::int64_t d2 = dist.eval(2 * minN);
       e.evadable = d1 > 0 && static_cast<double>(d2) >
-                                 1.5 * static_cast<double>(d1);
+                                 kEvadableFallbackGrowth *
+                                     static_cast<double>(d1);
     }
     e.distance = std::move(dist);
   }
@@ -402,94 +421,6 @@ double symbolicMissRate(const SymbolicReuseProfile& p, std::uint64_t capacity,
   }
   return total ? static_cast<double>(missed) / static_cast<double>(total)
                : 0.0;
-}
-
-namespace {
-
-/// Dynamic per-site attribution: every access flows through one shared
-/// (optionally SHARDS-sampled) tracker so distances are exact, and the
-/// resulting mass is attributed to sites by (statement id, operand
-/// position) — the same order collectRefSites() enumerates.
-class SiteAttributionSink final : public InstrSink {
- public:
-  struct PerSite {
-    std::uint64_t accesses = 0;  ///< true count, sampled or not
-    std::uint64_t cold = 0;      ///< scaled by 1/rate under sampling
-    Log2Histogram hist;          ///< scaled finite reuse distances
-  };
-
-  SiteAttributionSink(const SymbolicReuseProfile& p, double rate)
-      : tracker_(rate) {
-    for (std::size_t i = 0; i < p.sites.size(); ++i) {
-      const SymbolicSiteInfo& s = p.sites[i];
-      std::vector<int>& v = bySite_[s.stmtId];
-      if (static_cast<int>(v.size()) <= s.operand)
-        v.resize(static_cast<std::size_t>(s.operand) + 1, -1);
-      v[static_cast<std::size_t>(s.operand)] = static_cast<int>(i);
-    }
-    perSite_.resize(p.sites.size());
-  }
-
-  void onInstr(int stmtId, std::span<const std::int64_t> reads,
-               std::int64_t write) override {
-    const auto it = bySite_.find(stmtId);
-    const std::vector<int>* v = it == bySite_.end() ? nullptr : &it->second;
-    auto siteOf = [&](std::size_t operand) {
-      return v != nullptr && operand < v->size() ? (*v)[operand] : -1;
-    };
-    for (std::size_t k = 0; k < reads.size(); ++k) touch(siteOf(k), reads[k]);
-    touch(siteOf(reads.size()), write);
-  }
-
-  const PerSite& site(std::size_t i) const { return perSite_[i]; }
-
- private:
-  void touch(int site, std::int64_t addr) {
-    const std::uint64_t d = tracker_.access(addr / 8);  // element granularity
-    if (site < 0) return;
-    PerSite& s = perSite_[static_cast<std::size_t>(site)];
-    ++s.accesses;
-    if (d == SampledReuseTracker::kNotSampled) return;
-    if (d == SampledReuseTracker::kCold) {
-      s.cold += tracker_.countScale();
-      return;
-    }
-    s.hist.add(d, tracker_.countScale());
-  }
-
-  SampledReuseTracker tracker_;
-  std::unordered_map<int, std::vector<int>> bySite_;
-  std::vector<PerSite> perSite_;
-};
-
-}  // namespace
-
-SymbolicEvaluation evaluateHybridProfile(const SymbolicReuseProfile& p,
-                                         const Program& program,
-                                         const DataLayout& layout,
-                                         std::int64_t n,
-                                         std::uint64_t timeSteps,
-                                         const HybridOptions& o) {
-  SymbolicEvaluation ev = evaluateSymbolicProfile(p, n, timeSteps);
-  if (p.fullySymbolic()) return ev;
-
-  SiteAttributionSink sink(p, o.sampleRate);
-  ExecOptions eo;
-  eo.n = n;
-  eo.timeSteps = timeSteps;
-  execute(program, layout, eo, &sink);
-
-  ev.bailedAccesses = 0;  // replace the trip-count estimate with measurement
-  for (std::size_t i = 0; i < p.perSite.size(); ++i) {
-    if (p.perSite[i].bailout == SymbolicBailout::None) continue;
-    const SiteAttributionSink::PerSite& m = sink.site(i);
-    ev.bailedAccesses += m.accesses;
-    ev.accesses += m.accesses;
-    ev.cold += m.cold;
-    ev.totalReuses += m.hist.totalFinite();
-    ev.histogram.merge(m.hist);
-  }
-  return ev;
 }
 
 }  // namespace gcr

@@ -1,15 +1,34 @@
-// Symbolic reuse profiles: PR 4's static estimator lifted to closed form.
+// Symbolic reuse profiles: the static reuse estimator (Sections 2.1-2.2,
+// predicted rather than measured), in closed form.
 //
-// estimateReuseProfile() classifies every reference site and evaluates its
-// reuse distance at two concrete sizes (n and 2n).  analyzeSymbolicReuse()
-// runs the SAME candidate scan — the same dependence analysis, the same
-// volume model, the same min-over-candidates selection — but keeps every
-// quantity as a SymExpr in the symbolic problem size N (and time-step count
-// T).  The per-site distance is a Min node over candidate formulas, so
-// evaluating the profile at a concrete N reproduces the numeric estimator's
-// argmin-at-N selection exactly; a whole fig9/fig10 size sweep becomes one
-// analysis plus cheap formula evaluations, and miss-rate curves miss(C, N)
-// fall out of the reuse-distance CDF for any capacity C.
+// The dynamic side of this repo measures reuse distances by running the
+// program (locality/reuse_distance.hpp).  analyzeSymbolicReuse() predicts
+// the same log2-binned histogram from loop bounds and subscripts alone, as
+// formulas in the symbolic problem size N (and time-step count T):
+//
+//   1. every reference site contributes trip-count(site) dynamic accesses;
+//   2. each site's *reuse source* — the access that most recently touched
+//      the same element — is found by scanning the dependence (and input-
+//      reuse) edges from the affine analyzer; the site's distance is the
+//      Min over the candidates' formulas, so evaluating at a concrete N
+//      selects the nearest source at that N;
+//   3. the distance of a reuse class is a volume product:
+//        same-iteration   ~ references executed between the two sites;
+//        loop-carried(d)  ~ d x (distinct data touched per iteration of the
+//                           carrying loop);
+//        cross-unit       ~ footprints of the units executed in between;
+//      sites with no source are cold (first touches);
+//   4. a class is *evadable* (Section 2.2) when its distance grows with N —
+//      decided from the formula's degree in N, or, when the degree is
+//      indeterminate, by its growth from minN to 2*minN.
+//
+// One analysis answers a whole size sweep: evaluateSymbolicProfile() turns
+// the formulas into the histogram at any n >= minN, and miss-rate curves
+// miss(C, N) fall out of the reuse-distance CDF for any capacity C.  The
+// result is a spiky histogram (each class lands on one bin) that tracks the
+// measured one closely enough for the CDF gate of gcr-verify --symbolic
+// (compareHistograms, support/histogram.hpp).  The tests hold the formulas
+// bit-for-bit to a numeric scan evaluated at concrete sizes.
 //
 // Bail-outs.  Two (and only two) situations admit no single all-N formula:
 //
@@ -23,29 +42,30 @@
 //       site inherits an error of unknown direction.
 //
 // A bailed site keeps NO distance formula (never a silently wrong one); its
-// verdict carries the reason code, and evaluateHybridProfile() merges the
-// symbolic mass of clean sites with dynamically measured per-site mass for
-// the bailed ones (PR 1's exact or SHARDS-sampled tracker, attributed by
-// statement id and operand position).
+// verdict carries the reason code, and evaluation excludes its mass and
+// counts it in SymbolicEvaluation::bailedAccesses.  gcr-verify --symbolic
+// and bench_symbolic_sweep fail on a program with bailed sites.
 //
-// Dependences the analyzer answers Unknown (the common case for cross-nest
-// pairs) do NOT bail: the numeric estimator already models them through the
-// per-level deltaN constraints, and this pass mirrors it formula-for-formula;
-// such sites are merely counted `imprecise` for reporting.
+// Dependences the analyzer answers Unknown do NOT bail: the per-level deltaN
+// constraints still bound them, and such sites are merely counted
+// `imprecise` for reporting.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "analysis/static_reuse.hpp"
 #include "analysis/symexpr.hpp"
-#include "interp/layout.hpp"
 #include "ir/ir.hpp"
 #include "support/histogram.hpp"
 
 namespace gcr {
+
+enum class ReuseClass { Cold, SameIteration, LoopCarried, CrossUnit };
+
+const char* reuseClassName(ReuseClass c);
 
 enum class SymbolicBailout : std::uint8_t {
   None = 0,
@@ -66,7 +86,7 @@ struct SymbolicSiteInfo {
   ArrayId array = -1;
   bool isWrite = false;
   /// Operand position within the statement: 0..R-1 for the reads in order,
-  /// R for the write — the key the hybrid tracer attributes accesses by.
+  /// R for the write (the order InstrSink::onInstr reports them in).
   int operand = 0;
   std::string loc;   ///< loop path, e.g. "i/j"
   std::string text;  ///< printed reference, e.g. "A[i+1][j]"
@@ -81,7 +101,7 @@ struct SymbolicSiteProfile {
   SymExpr distance;
   /// Dynamic accesses of the site per time step (trip-count product).  For
   /// a bailed site this is an accounting estimate only (its active range
-  /// may be over-approximated); hybrid evaluation measures it instead.
+  /// may be over-approximated).
   SymExpr count;
   /// Asymptotic degree of `distance` in N; nullopt when indeterminate or
   /// when there is no distance.
@@ -110,7 +130,7 @@ struct SymbolicReuseProfile {
 
 /// Run the symbolic candidate scan.  Site order matches collectRefSites()
 /// (textual, reads before the write), so index i corresponds to
-/// estimateReuseProfile(p).perSite[i].
+/// collectRefSites(p, o.minN)[i].
 SymbolicReuseProfile analyzeSymbolicReuse(const Program& p,
                                           const SymbolicReuseOptions& o = {});
 
@@ -121,16 +141,15 @@ struct SymbolicEvaluation {
   std::uint64_t cold = 0;
   std::uint64_t totalReuses = 0;
   std::uint64_t evadableReuses = 0;
-  /// Mass belonging to bailed sites: excluded from the totals above by the
-  /// pure evaluation (estimated from trip counts), measured and *included*
-  /// by the hybrid evaluation.
+  /// Mass belonging to bailed sites, estimated from trip counts and
+  /// excluded from the totals above.
   std::uint64_t bailedAccesses = 0;
 };
 
 /// Evaluate every clean site's formulas at (n, timeSteps).  At timeSteps ==
-/// 1 a fully symbolic profile reproduces estimateReuseProfile(p, {n})'s
-/// histogram exactly; for timeSteps > 1 each per-step class repeats and a
-/// cold site's passes 2..T re-touch their elements at ~footprint distance.
+/// 1 each site's mass lands at its distance formula's value at n; for
+/// timeSteps > 1 each per-step class repeats and a cold site's passes 2..T
+/// re-touch their elements at ~footprint distance.
 SymbolicEvaluation evaluateSymbolicProfile(const SymbolicReuseProfile& p,
                                            std::int64_t n,
                                            std::uint64_t timeSteps = 1);
@@ -140,23 +159,5 @@ SymbolicEvaluation evaluateSymbolicProfile(const SymbolicReuseProfile& p,
 /// formulas — no histogram binning.
 double symbolicMissRate(const SymbolicReuseProfile& p, std::uint64_t capacity,
                         std::int64_t n, std::uint64_t timeSteps = 1);
-
-struct HybridOptions {
-  /// Sampling rate for the dynamic side (1.0 = exact tracking); see
-  /// locality/sampled_reuse.hpp.
-  double sampleRate = 1.0;
-};
-
-/// Symbolic evaluation with the bailed sites' mass measured dynamically:
-/// one execution of `p` at (n, timeSteps) under `layout` with a per-site
-/// attribution sink; the measured histograms of bailed sites merge with the
-/// symbolic mass of clean ones.  Falls back to pure evaluation when the
-/// profile is fully symbolic (no execution).
-SymbolicEvaluation evaluateHybridProfile(const SymbolicReuseProfile& p,
-                                         const Program& program,
-                                         const DataLayout& layout,
-                                         std::int64_t n,
-                                         std::uint64_t timeSteps = 1,
-                                         const HybridOptions& o = {});
 
 }  // namespace gcr

@@ -1,9 +1,9 @@
 // Symbolic integer expressions over the problem size N and the time-step
 // count T — the value language of the symbolic locality engine.
 //
-// PR 4's static reuse estimator evaluates every distance formula at two
-// concrete sizes (n and 2n).  This IR keeps the same quantities *closed
-// form*: a SymExpr is an immutable tree of
+// The static reuse estimator (symbolic_reuse.hpp) keeps every reuse
+// distance, trip count and footprint *closed form* in this IR: a SymExpr is
+// an immutable tree of
 //
 //   Const c | N | T | Add | Mul | Min | Max | FloorDiv(k)
 //
@@ -12,7 +12,7 @@
 // A Min node that survives simplification is genuine piecewise behaviour —
 // e.g. min(124, N + 59) for a reuse whose nearest source switches from a
 // loop-carried to a same-iteration access as N grows — and evaluating it at
-// a concrete size reproduces the numeric estimator's argmin exactly.
+// a concrete size selects the nearest source at that size exactly.
 //
 // Two queries drive the clients:
 //   * eval(n, t)    — saturating 128-bit evaluation, clamped to int64: a

@@ -7,8 +7,8 @@
 //   cachesim/  set-associative caches, TLB, machine configs, cost model
 //   reuse_driven/  the Section 2.2 limit study (Figure 2 algorithm)
 //   xform/     pre-passes: distribution, unrolling, array splitting
-//   analysis/  static dependence analysis, legality checking, reuse
-//              profile estimation (gcr-verify)
+//   analysis/  static dependence analysis, legality checking (gcr-verify),
+//              closed-form symbolic reuse profiles (the static estimator)
 //   fusion/    reuse-based loop fusion (Figure 6)
 //   regroup/   multi-level data regrouping (Figures 7-8)
 //   driver/    the full pipeline, program versions, measurement harness
@@ -22,7 +22,6 @@
 #include "analysis/adversarial.hpp"
 #include "analysis/dependence.hpp"
 #include "analysis/legality.hpp"
-#include "analysis/static_reuse.hpp"
 #include "analysis/symbolic_reuse.hpp"
 #include "analysis/symexpr.hpp"
 #include "apps/registry.hpp"

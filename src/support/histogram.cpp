@@ -1,6 +1,8 @@
 #include "support/histogram.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -75,6 +77,31 @@ std::string Log2Histogram::toCsv() const {
     os << b << "," << binLow(static_cast<int>(b)) << "," << bins_[b] << "\n";
   os << "cold,inf," << cold_ << "\n";
   return os.str();
+}
+
+ProfileComparison compareHistograms(const Log2Histogram& predicted,
+                                    const Log2Histogram& measured) {
+  ProfileComparison cmp;
+  const double totP = static_cast<double>(predicted.totalFinite());
+  const double totM = static_cast<double>(measured.totalFinite());
+  if (totP == 0.0 || totM == 0.0) {
+    cmp.avgCdfError = (totP == 0.0 && totM == 0.0) ? 0.0 : 1.0;
+    cmp.maxCdfError = cmp.avgCdfError;
+    return cmp;
+  }
+  const int top =
+      std::max(predicted.highestNonEmptyBin(), measured.highestNonEmptyBin());
+  double cdfP = 0.0, cdfM = 0.0, sum = 0.0;
+  for (int b = 0; b <= top; ++b) {
+    cdfP += static_cast<double>(predicted.binCount(b)) / totP;
+    cdfM += static_cast<double>(measured.binCount(b)) / totM;
+    const double err = std::abs(cdfP - cdfM);
+    sum += err;
+    cmp.maxCdfError = std::max(cmp.maxCdfError, err);
+  }
+  cmp.bins = top + 1;
+  cmp.avgCdfError = sum / static_cast<double>(top + 1);
+  return cmp;
 }
 
 }  // namespace gcr

@@ -1,7 +1,9 @@
 // Log2-binned histograms of reuse distances, as plotted in Figure 3 of the
 // paper: a point at (x, y) means y thousand references had a reuse distance
 // in [2^x, 2^(x+1)).  Distance 0 (consecutive accesses to the same datum) and
-// "infinite" (first access / cold) get their own bins.
+// "infinite" (first access / cold) get their own bins.  compareHistograms()
+// scores two such histograms by CDF agreement — the metric of every
+// model-vs-referee gate in the repo.
 #pragma once
 
 #include <cstdint>
@@ -44,5 +46,17 @@ class Log2Histogram {
   std::vector<std::uint64_t> bins_;  // grown on demand
   std::uint64_t cold_ = 0;
 };
+
+/// Agreement between a predicted and a measured histogram: the mean and max
+/// absolute CDF difference over the occupied log2 bins (both normalized over
+/// finite reuses).  0 = identical shape; 1 = all mass in disjoint tails.
+struct ProfileComparison {
+  double avgCdfError = 0.0;
+  double maxCdfError = 0.0;
+  int bins = 0;
+};
+
+ProfileComparison compareHistograms(const Log2Histogram& predicted,
+                                    const Log2Histogram& measured);
 
 }  // namespace gcr

@@ -1,11 +1,15 @@
-// Cross-check of the static reuse-profile estimator against the dynamic
-// reuse-distance measurement, on the paper's four applications.  The gate is
-// the documented tolerance: geometric-mean CDF error <= 0.10 across apps.
-#include "analysis/static_reuse.hpp"
-
-#include <cmath>
+// The static reuse-profile estimate — analyzeSymbolicReuse() evaluated at a
+// size — on small programs with known reuse classes and on the paper's four
+// applications, cross-checked against the dynamic reuse-distance
+// measurement.  The documented tolerance: geometric-mean CDF error <= 0.10
+// across the apps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+
+#include "analysis/symbolic_reuse.hpp"
 #include "apps/registry.hpp"
 #include "interp/interp.hpp"
 #include "interp/layout.hpp"
@@ -17,9 +21,15 @@ namespace {
 
 ReuseProfile measuredProfile(const Program& p, std::int64_t n) {
   const DataLayout l = contiguousLayout(p, n);
-  ReuseDistanceSink sink(8);  // element-level, matching the estimator
+  ReuseDistanceSink sink(8);  // element-level, matching the estimate
   execute(p, l, {.n = n}, &sink);
   return sink.takeProfile();
+}
+
+double evadableFraction(const SymbolicEvaluation& ev) {
+  return ev.totalReuses ? static_cast<double>(ev.evadableReuses) /
+                              static_cast<double>(ev.totalReuses)
+                        : 0.0;
 }
 
 TEST(StaticReuse, ScanHasLoopCarriedDistanceOne) {
@@ -28,13 +38,16 @@ TEST(StaticReuse, ScanHasLoopCarriedDistanceOne) {
   b.loop("i", 1, AffineN::N() - 1,
          [&](IxVar i) { b.assign(b.ref(A, {i}), {b.ref(A, {i - 1})}); });
   Program p = b.take();
-  const StaticReuseEstimate est = estimateReuseProfile(p);
-  ASSERT_EQ(est.perSite.size(), 2u);
+  const SymbolicReuseProfile sym = analyzeSymbolicReuse(p);
+  ASSERT_EQ(sym.perSite.size(), 2u);
   // The read A[i-1] reuses the write A[i] of the previous iteration.
-  EXPECT_EQ(est.perSite[0].cls, ReuseClass::LoopCarried);
-  EXPECT_EQ(est.perSite[0].carryDelta, 1);
-  EXPECT_FALSE(est.perSite[0].evadable);  // distance constant in N
-  EXPECT_GT(est.accesses, 0u);
+  const SymbolicSiteProfile& read = sym.perSite[0];
+  EXPECT_EQ(read.cls, ReuseClass::LoopCarried);
+  EXPECT_EQ(read.carryLevel, 0);
+  ASSERT_TRUE(read.distance.valid());
+  EXPECT_EQ(read.distance.eval(64), 1);
+  EXPECT_FALSE(read.evadable);  // distance constant in N
+  EXPECT_GT(evaluateSymbolicProfile(sym, 64).accesses, 0u);
 }
 
 TEST(StaticReuse, CrossLoopReuseGrowsWithN) {
@@ -48,24 +61,25 @@ TEST(StaticReuse, CrossLoopReuseGrowsWithN) {
   b.loop("i", 0, AffineN::N() - 1,
          [&](IxVar i) { b.assign(b.ref(B, {i}), {b.ref(A, {i})}); });
   Program p = b.take();
-  const StaticReuseEstimate est = estimateReuseProfile(p);
+  const SymbolicReuseProfile sym = analyzeSymbolicReuse(p);
   bool sawCrossUnit = false;
-  for (const SiteReuseEstimate& e : est.perSite)
+  for (const SymbolicSiteProfile& e : sym.perSite)
     if (e.cls == ReuseClass::CrossUnit) {
       sawCrossUnit = true;
       EXPECT_TRUE(e.evadable);
-      EXPECT_GE(e.distance, 32u);  // ~ footprint of a sweep at n=64
+      ASSERT_TRUE(e.distance.valid());
+      EXPECT_GE(e.distance.eval(64), 32);  // ~ footprint of a sweep at n=64
     }
   EXPECT_TRUE(sawCrossUnit);
-  EXPECT_GT(est.evadableFraction(), 0.0);
+  EXPECT_GT(evadableFraction(evaluateSymbolicProfile(sym, 64)), 0.0);
 }
 
 TEST(StaticReuse, EvadableSeamClassifiedFromSymbolicDegree) {
-  // A read whose distance is min(256, 2N-3): the loop-carried candidate
-  // (~2N) wins until N crosses ~130, then the same-iteration constant 256
-  // caps it.  Sampling at n=64 and 2n=128 lands on the growing branch both
-  // times (125 -> 253, growth 2.02 > 1.5), so the n/2n test misclassified
-  // this bounded class as evadable; the symbolic degree of the min is 0.
+  // A read whose distance is min(128, 2N-3): the loop-carried candidate
+  // (2N-3) is nearest up to N = 65, then the same-iteration constant 128
+  // caps it.  A growth test that samples the n-nearest candidate at n=64
+  // and 2n=128 sees 125 -> 253 (growth 2.02 > 1.5) and misclassifies this
+  // bounded class as evadable; the degree of the min is 0.
   ProgramBuilder b("seam");
   const ArrayId A = b.array("A", {AffineN::N(), AffineN::N()});
   const ArrayId C = b.array("C", {AffineN::N()});
@@ -78,29 +92,31 @@ TEST(StaticReuse, EvadableSeamClassifiedFromSymbolicDegree) {
             b.assign(b.ref(E, {i, j}), {b.ref(A, {i - 1, j})});
           });
   const Program p = b.take();
-  const StaticReuseEstimate est = estimateReuseProfile(p);
+  const SymbolicReuseProfile sym = analyzeSymbolicReuse(p);
   int idx = -1;  // the LAST read of A is the capped site
-  for (std::size_t k = 0; k < est.sites.size(); ++k)
-    if (est.sites[k].array == A && !est.sites[k].isWrite)
+  for (std::size_t k = 0; k < sym.sites.size(); ++k)
+    if (sym.sites[k].array == A && !sym.sites[k].isWrite)
       idx = static_cast<int>(k);
   ASSERT_GE(idx, 0);
-  const SiteReuseEstimate& e = est.perSite[static_cast<std::size_t>(idx)];
+  const SymbolicSiteProfile& e = sym.perSite[static_cast<std::size_t>(idx)];
   EXPECT_EQ(e.cls, ReuseClass::LoopCarried);
-  EXPECT_EQ(e.distance, 125u);       // 2*64 - 3
-  EXPECT_EQ(e.distanceLarge, 253u);  // the n/2n samples straddle the seam...
-  EXPECT_GT(static_cast<double>(e.distanceLarge),
-            1.5 * static_cast<double>(e.distance));
-  EXPECT_EQ(e.distanceDegree, 0);  // ...but the formula min(256, 2N-3) is
-  EXPECT_FALSE(e.evadable);        // bounded: not evadable
+  ASSERT_TRUE(e.distance.valid());
+  EXPECT_EQ(e.distance.eval(64), 125);    // 2*64 - 3
+  EXPECT_EQ(e.distance.eval(128), 128);   // n and 2n straddle the seam
+  EXPECT_EQ(e.distance.eval(1024), 128);
+  ASSERT_TRUE(e.degree.has_value());
+  EXPECT_EQ(*e.degree, 0);  // the formula min(128, 2N-3) is bounded:
+  EXPECT_FALSE(e.evadable);  // not evadable
 }
 
 TEST(StaticReuse, AccountingIsConsistent) {
   for (const char* name : {"ADI", "Swim", "Tomcatv", "SP"}) {
-    const Program p = apps::buildApp(name);
-    const StaticReuseEstimate est = estimateReuseProfile(p);
-    EXPECT_EQ(est.accesses, est.cold + est.totalReuses) << name;
-    EXPECT_EQ(est.histogram.totalFinite(), est.totalReuses) << name;
-    EXPECT_LE(est.evadableReuses, est.totalReuses) << name;
+    const SymbolicReuseProfile sym = analyzeSymbolicReuse(apps::buildApp(name));
+    const SymbolicEvaluation ev = evaluateSymbolicProfile(sym, 64);
+    EXPECT_EQ(ev.accesses, ev.cold + ev.totalReuses) << name;
+    EXPECT_EQ(ev.histogram.totalFinite(), ev.totalReuses) << name;
+    EXPECT_LE(ev.evadableReuses, ev.totalReuses) << name;
+    EXPECT_EQ(ev.bailedAccesses, 0u) << name;
   }
 }
 
@@ -110,10 +126,12 @@ TEST(StaticReuse, MatchesDynamicProfileWithinTolerance) {
   int count = 0;
   for (const char* name : {"Swim", "Tomcatv", "ADI", "SP"}) {
     const Program p = apps::buildApp(name);
-    StaticReuseOptions so;
-    so.n = n;
-    const StaticReuseEstimate est = estimateReuseProfile(p, so);
+    const SymbolicEvaluation est =
+        evaluateSymbolicProfile(analyzeSymbolicReuse(p), n);
     const ReuseProfile dyn = measuredProfile(p, n);
+    // The trip counts are exact, so the access totals agree; the CDF
+    // comparison below normalizes them away.
+    EXPECT_EQ(est.accesses, dyn.accesses) << name;
     const ProfileComparison cmp =
         compareHistograms(est.histogram, dyn.histogram);
     ::testing::Test::RecordProperty(name, cmp.avgCdfError);
@@ -134,10 +152,10 @@ TEST(StaticReuse, EvadablePredictionAgreesWithDynamicTrend) {
   // data size.  The static fraction should be substantial for these stencil
   // apps, matching the dynamic observation (Figure 2's premise).
   for (const char* name : {"Swim", "Tomcatv", "ADI", "SP"}) {
-    const Program p = apps::buildApp(name);
-    const StaticReuseEstimate est = estimateReuseProfile(p);
-    EXPECT_GT(est.evadableFraction(), 0.1) << name;
-    EXPECT_LE(est.evadableFraction(), 1.0) << name;
+    const SymbolicReuseProfile sym = analyzeSymbolicReuse(apps::buildApp(name));
+    const double fraction = evadableFraction(evaluateSymbolicProfile(sym, 64));
+    EXPECT_GT(fraction, 0.1) << name;
+    EXPECT_LE(fraction, 1.0) << name;
   }
 }
 

@@ -1,57 +1,57 @@
-// The symbolic pass must reproduce the numeric estimator wherever it claims
-// a formula: evaluating a fully symbolic profile at any n >= minN with
-// timeSteps == 1 yields estimateReuseProfile's histogram EXACTLY (same
-// candidate scan, same min selection), and the closed-form degree kills the
-// n/2n evadable sampling seam.
+// The symbolic pass must reproduce the numeric referee scan wherever it
+// claims a formula: evaluating a profile at any n >= minN with timeSteps ==
+// 1 yields the scan's per-site distances, histogram and totals EXACTLY (same
+// candidate scan, same min selection), and the closed-form degree decides
+// evadability without sampling sizes.
 #include "analysis/symbolic_reuse.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
-#include "analysis/static_reuse.hpp"
 #include "apps/registry.hpp"
 #include "common/random_program.hpp"
+#include "driver/pipeline.hpp"
 #include "interp/interp.hpp"
 #include "interp/layout.hpp"
 #include "ir/builder.hpp"
 #include "locality/reuse_distance.hpp"
+#include "numeric_reuse_referee.hpp"
 
 namespace gcr {
 namespace {
 
-void expectExactMatch(const Program& p, const SymbolicReuseProfile& sym,
-                      std::int64_t n) {
-  const StaticReuseEstimate num = estimateReuseProfile(p, {.n = n});
-  const SymbolicEvaluation ev = evaluateSymbolicProfile(sym, n);
-  EXPECT_EQ(ev.accesses, num.accesses) << p.name << " n=" << n;
-  EXPECT_EQ(ev.cold, num.cold) << p.name << " n=" << n;
-  EXPECT_EQ(ev.totalReuses, num.totalReuses) << p.name << " n=" << n;
-  const int hi = std::max(ev.histogram.highestNonEmptyBin(),
-                          num.histogram.highestNonEmptyBin());
-  for (int b = 0; b <= hi; ++b)
-    EXPECT_EQ(ev.histogram.binCount(b), num.histogram.binCount(b))
-        << p.name << " n=" << n << " bin=" << b;
-  // Per-site distances too: site order matches collectRefSites().
-  ASSERT_EQ(sym.perSite.size(), num.perSite.size());
-  for (std::size_t i = 0; i < sym.perSite.size(); ++i) {
-    const SymbolicSiteProfile& s = sym.perSite[i];
-    if (!s.distance.valid()) continue;  // cold
-    EXPECT_EQ(static_cast<std::uint64_t>(std::max<std::int64_t>(
-                  0, s.distance.eval(n))),
-              num.perSite[i].distance)
-        << p.name << " site " << i << " (" << sym.sites[i].text << ")";
-  }
+using testing::expectMatchesReferee;
+
+/// Every program the registry builds by name.
+const std::vector<std::string>& registryNames() {
+  static const std::vector<std::string> names = {
+      "Swim",    "Tomcatv",               "ADI",    "SP",
+      "Sweep3D", "Tomcatv-noInterchange", "Jacobi", "Livermore"};
+  return names;
 }
 
 TEST(SymbolicReuse, RegistryAppsAnalyzeSymbolically) {
-  for (const apps::AppInfo& app : apps::evaluationApps()) {
-    const Program p = app.build();
-    const SymbolicReuseProfile sym = analyzeSymbolicReuse(p);
-    EXPECT_TRUE(sym.fullySymbolic())
-        << app.name << " bailed sites: " << sym.bailedSites();
-    for (const std::int64_t n : {32, 64, 96, 128})
-      expectExactMatch(p, sym, n);
+  // Every registry program, original and optimized: fusion, splitting,
+  // peeling and regrouping stress the cross-unit and guard paths.
+  for (const std::string& name : registryNames()) {
+    const Program original = apps::buildApp(name);
+    for (const Strategy s : {Strategy::NoOpt, Strategy::SgiLike,
+                             Strategy::Fused, Strategy::FusedRegrouped,
+                             Strategy::RegroupedOnly}) {
+      SCOPED_TRACE(name + "/" + versionNameFor(s));
+      const ProgramVersion v = makeVersion(original, s);
+      const Program& p = s == Strategy::NoOpt ? original : v.program;
+      const SymbolicReuseProfile sym = analyzeSymbolicReuse(p);
+      EXPECT_TRUE(sym.fullySymbolic())
+          << "bailed sites: " << sym.bailedSites();
+      for (const std::int64_t n : {32, 64, 96, 128}) {
+        EXPECT_EQ(evaluateSymbolicProfile(sym, n).bailedAccesses, 0u)
+            << "n=" << n;
+        expectMatchesReferee(p, sym, n);
+      }
+    }
   }
 }
 
@@ -140,34 +140,29 @@ TEST(SymbolicReuse, FootprintMatchesWholeProgramSweep) {
 
 TEST(SymbolicReuse, FuzzExactAgainstNumericEstimator) {
   // Random affine programs are guard-comparable and constant-delta, so the
-  // symbolic pass must go formula-only and match the numeric estimator bit
-  // for bit at every size.
-  int fullySymbolic = 0;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    testing::RandomProgramOptions opts;
-    opts.allowTwoDim = true;
-    const Program p = testing::randomProgram(seed, opts);
-    const SymbolicReuseProfile sym = analyzeSymbolicReuse(p);
-    if (!sym.fullySymbolic()) continue;
-    ++fullySymbolic;
-    for (const std::int64_t n : {32, 64})
-      expectExactMatch(p, sym, n);
+  // symbolic pass must go formula-only and match the referee bit for bit at
+  // every size: 2-D nests, then reversed (downto) loops in 1-D and 2-D.
+  struct Corpus {
+    bool twoDim;
+    bool reversed;
+    std::uint64_t seeds;
+  };
+  for (const Corpus c : {Corpus{true, false, 20}, Corpus{false, true, 40},
+                         Corpus{true, true, 40}}) {
+    std::uint64_t fullySymbolic = 0;
+    for (std::uint64_t seed = 1; seed <= c.seeds; ++seed) {
+      testing::RandomProgramOptions opts;
+      opts.allowTwoDim = c.twoDim;
+      opts.allowReversed = c.reversed;
+      const Program p = testing::randomProgram(seed, opts);
+      const SymbolicReuseProfile sym = analyzeSymbolicReuse(p);
+      if (sym.fullySymbolic()) ++fullySymbolic;
+      for (const std::int64_t n : {32, 64}) expectMatchesReferee(p, sym, n);
+    }
+    // The corpus is overwhelmingly affine.
+    EXPECT_GE(4 * fullySymbolic, 3 * c.seeds)
+        << "twoDim=" << c.twoDim << " reversed=" << c.reversed;
   }
-  EXPECT_GE(fullySymbolic, 15);  // the corpus is overwhelmingly affine
-}
-
-TEST(SymbolicReuse, HybridEqualsPureWhenFullySymbolic) {
-  const Program p = apps::buildApp("Tomcatv");
-  const SymbolicReuseProfile sym = analyzeSymbolicReuse(p);
-  ASSERT_TRUE(sym.fullySymbolic());
-  const std::int64_t n = 48;
-  const DataLayout l = contiguousLayout(p, n);
-  const SymbolicEvaluation pure = evaluateSymbolicProfile(sym, n);
-  const SymbolicEvaluation hyb = evaluateHybridProfile(sym, p, l, n);
-  EXPECT_EQ(pure.accesses, hyb.accesses);
-  EXPECT_EQ(pure.totalReuses, hyb.totalReuses);
-  EXPECT_EQ(pure.bailedAccesses, 0u);
-  EXPECT_EQ(hyb.bailedAccesses, 0u);
 }
 
 TEST(SymbolicReuse, AgreementWithDynamicProfileWithinGate) {

@@ -13,11 +13,11 @@
 #include <memory>
 #include <string>
 
-#include "analysis/static_reuse.hpp"
 #include "apps/registry.hpp"
 #include "driver/pipeline.hpp"
 #include "interp/plan.hpp"
 #include "store/codec.hpp"
+#include "support/histogram.hpp"
 
 namespace gcr {
 namespace {
