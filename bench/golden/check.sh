@@ -1,7 +1,9 @@
 #!/bin/sh
-# Byte-for-byte check of the paper's simulated tables against the golden
-# copies committed next to this script: Figure 9, the four Figure 10
-# panels, the Section 6 miss table and the TLB-reach ablation.  Only the
+# Byte-for-byte check of the simulated tables against the golden copies
+# committed next to this script: Figure 9, the four Figure 10 panels, the
+# Section 6 miss table, the TLB-reach ablation, the Figure 3 reuse-distance
+# histograms, the Section 2.2 evadable-reuse table and the multicore
+# crossover table (per-core cycles and shared-LLC miss fractions).  Only the
 # wall-clock throughput line and the engine cache/store/multicore counter
 # footers are dropped, the same lines the determinism smokes in CI skip.
 #
@@ -23,7 +25,8 @@ status=0
 cd "$BENCH_DIR"
 for b in bench_fig9_apps bench_fig10_adi bench_fig10_swim \
          bench_fig10_tomcatv bench_fig10_sp bench_table6_misses \
-         bench_ablation_tlb_reach; do
+         bench_ablation_tlb_reach bench_fig3_reuse_distance \
+         bench_sec22_evadable bench_multicore; do
   ./"$b" | grep -vE 'analysis throughput|engine cache|engine store|engine multicore' \
     > "$TMP/$b.txt"
   if [ "$MODE" = "--write" ]; then

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "interp/schedule.hpp"
+#include "support/assert.hpp"
 #include "support/prng.hpp"
 
 namespace gcr {
@@ -254,22 +256,28 @@ class PlanCompiler {
 };
 
 // ---------------------------------------------------------------------------
-// Execution.  The steady-state inner loop is pure pointer arithmetic: per
-// read, one mix + one "addr += step"; per instance, one mix64 store.  All
+// Execution.  One walker serves executePlan (Values: the memory image and
+// the mix chain) and the schedule replays (addresses only).  The steady-state
+// inner loop is pure pointer arithmetic: per read, one "addr += step" (and
+// one mix when valued); per instance, one mix64 store when valued.  All
 // guard and bounds logic ran at compile time; sink delivery is batched into
 // structure-of-arrays chunks of kBlockCapacity instances.
+//
+// The slice restricts every depth-0 loop to one core's iterations.  Within a
+// segment those are an arithmetic progression of schedule positions, so the
+// generic loop and the strength-reduced innermost path walk a sliced loop
+// exactly as they walk a whole one, with a longer step.
 // ---------------------------------------------------------------------------
 
-class PlanExecutor {
+template <bool Values>
+class PlanWalker {
  public:
   static constexpr std::size_t kBlockCapacity = 4096;
 
-  PlanExecutor(const AccessPlan& plan, const ExecOptions& opts,
-               InstrSink* sink)
-      : plan_(plan), sink_(sink) {
-    result_.memory.assign(
-        static_cast<std::size_t>(plan_.layout->totalBytes() / 8), 0);
-    initializeMemory(*plan_.program, *plan_.layout, opts, result_.memory);
+  /// `memory` is the initialized image when Values, else null.
+  PlanWalker(const AccessPlan& plan, const ScheduleSlice& slice,
+             InstrSink* sink, std::uint64_t* memory = nullptr)
+      : plan_(plan), slice_(slice), sink_(sink), mem_(memory) {
     ivs_.assign(static_cast<std::size_t>(plan_.maxDepth), 0);
     keep_.resize(plan_.loops.size());
     for (std::size_t i = 0; i < plan_.loops.size(); ++i)
@@ -292,11 +300,18 @@ class PlanExecutor {
     bOff_.push_back(0);
   }
 
-  ExecResult run() {
+  /// Every time step of the whole program; returns the instance count.
+  std::uint64_t run() {
     for (std::uint64_t t = 0; t < plan_.timeSteps; ++t)
-      for (const PlanChild& c : plan_.top) execChild(c);
-    if (sink_ != nullptr) flushBlock();
-    return std::move(result_);
+      for (const PlanChild& c : plan_.top) runTop(c);
+    flush();
+    return instrs_;
+  }
+
+  /// One parallel region (a single top-level child, one time step).
+  void runRegion(const PlanChild& c) {
+    runTop(c);
+    flush();
   }
 
  private:
@@ -310,12 +325,66 @@ class PlanExecutor {
     std::uint32_t rBegin = 0;  ///< read slots [rBegin, rEnd) per iteration
     std::uint32_t rEnd = 0;
   };
+  /// The iterations of one segment this walker runs, in execution order.
+  struct Progression {
+    std::int64_t first = 0;  ///< induction value of the first iteration
+    std::int64_t step = 1;   ///< induction step between iterations
+    std::int64_t trips = 0;
+  };
+
+  void runTop(const PlanChild& c) {
+    if (c.isLoop) {
+      execLoop(c.index);
+    } else if (slice_.core == 0) {
+      // A bare top-level statement is sequential work: core 0 runs it while
+      // the other cores idle at the region barrier.
+      execStmt(plan_.stmts[static_cast<std::size_t>(c.index)]);
+    }
+  }
 
   void execChild(const PlanChild& c) {
     if (c.isLoop)
       execLoop(c.index);
     else
-      execStmtSlow(plan_.stmts[static_cast<std::size_t>(c.index)]);
+      execStmt(plan_.stmts[static_cast<std::size_t>(c.index)]);
+  }
+
+  static const PlanSegment& segmentInOrder(const PlanLoop& L, std::size_t k) {
+    return L.segments[L.reversed ? L.segments.size() - 1 - k : k];
+  }
+
+  // Only depth-0 (top-level, i.e. parallel) loops are distributed; inner
+  // loops run whole on the owning core.  Schedule positions count over the
+  // loop's full [lo, hi] range in execution order, independent of segment
+  // structure, so dropped segments still consume their positions — the
+  // distribution depends only on the loop bounds, as schedule(static)'s
+  // does on the iteration count.  Block keeps the core's contiguous chunk
+  // of the segment's positions; Cyclic starts at the segment's first
+  // position congruent to the core and steps by the core count.
+  Progression iterations(const PlanLoop& L, const PlanSegment& seg) const {
+    // The segment covers positions [p, last].
+    std::int64_t p = L.reversed ? L.hi - seg.hi : seg.lo - L.lo;
+    std::int64_t last = p + (seg.hi - seg.lo);
+    std::int64_t step = 1;
+    if (L.depth == 0 && slice_.cores > 1) {
+      const std::int64_t cores = slice_.cores;
+      const std::int64_t core = slice_.core;
+      if (slice_.schedule == ParallelSchedule::Block) {
+        // The first (trips mod cores) chunks take the extra iteration.
+        const std::int64_t trips = L.hi - L.lo + 1;
+        const std::int64_t base = trips / cores;
+        const std::int64_t rem = trips % cores;
+        const std::int64_t begin = core * base + std::min(core, rem);
+        p = std::max(p, begin);
+        last = std::min(last, begin + base + (core < rem ? 1 : 0) - 1);
+      } else {
+        p += (core - p % cores + cores) % cores;
+        step = cores;
+      }
+    }
+    const std::int64_t dir = L.reversed ? -1 : 1;
+    return {L.reversed ? L.hi - p : L.lo + p, dir * step,
+            p > last ? 0 : (last - p) / step + 1};
   }
 
   void execLoop(int loopIdx) {
@@ -341,41 +410,34 @@ class PlanExecutor {
       execInnermost(L, keepRow);
       return;
     }
-    const int nseg = static_cast<int>(L.segments.size());
-    for (int s = L.reversed ? nseg - 1 : 0; L.reversed ? s >= 0 : s < nseg;
-         L.reversed ? --s : ++s) {
-      const PlanSegment& seg = L.segments[static_cast<std::size_t>(s)];
-      const std::int64_t first = L.reversed ? seg.hi : seg.lo;
-      const std::int64_t last = L.reversed ? seg.lo : seg.hi;
-      const std::int64_t dir = L.reversed ? -1 : 1;
-      for (std::int64_t v = first;; v += dir) {
+    for (std::size_t k = 0; k < L.segments.size(); ++k) {
+      const PlanSegment& seg = segmentInOrder(L, k);
+      const Progression it = iterations(L, seg);
+      std::int64_t v = it.first;
+      for (std::int64_t t = 0; t < it.trips; ++t, v += it.step) {
         ivs_[static_cast<std::size_t>(L.depth)] = v;
         for (int m : seg.members)
           if (!L.hasOuterGuards || keepRow[static_cast<std::size_t>(m)])
             execChild(L.children[static_cast<std::size_t>(m)]);
-        if (v == last) break;
       }
     }
   }
 
-  HotRef rebase(const PlanRef& r, int ivIdx, std::int64_t vStart,
-                std::int64_t dir) const {
+  HotRef rebase(const PlanRef& r, int ivIdx, const Progression& it) const {
     std::int64_t addr = r.constTerm;
     for (int d = 0; d < ivIdx; ++d)
       addr += r.coeffs[static_cast<std::size_t>(d)] *
               ivs_[static_cast<std::size_t>(d)];
     const std::int64_t innerCoeff = r.coeffs[static_cast<std::size_t>(ivIdx)];
-    return {addr + innerCoeff * vStart, dir * innerCoeff};
+    return {addr + innerCoeff * it.first, it.step * innerCoeff};
   }
 
   void execInnermost(const PlanLoop& L,
                      const std::vector<std::uint8_t>& keepRow) {
-    const int nseg = static_cast<int>(L.segments.size());
-    for (int s = L.reversed ? nseg - 1 : 0; L.reversed ? s >= 0 : s < nseg;
-         L.reversed ? --s : ++s) {
-      const PlanSegment& seg = L.segments[static_cast<std::size_t>(s)];
-      const std::int64_t vStart = L.reversed ? seg.hi : seg.lo;
-      const std::int64_t dir = L.reversed ? -1 : 1;
+    for (std::size_t k = 0; k < L.segments.size(); ++k) {
+      const PlanSegment& seg = segmentInOrder(L, k);
+      const Progression it = iterations(L, seg);
+      if (it.trips == 0) continue;
       hotStmts_.clear();
       hotReads_.clear();
       hotWrites_.clear();
@@ -390,28 +452,27 @@ class PlanExecutor {
         hs.seed = st.seed;
         hs.rBegin = static_cast<std::uint32_t>(hotReads_.size());
         for (const PlanRef& r : st.reads)
-          hotReads_.push_back(rebase(r, L.depth, vStart, dir));
+          hotReads_.push_back(rebase(r, L.depth, it));
         hs.rEnd = static_cast<std::uint32_t>(hotReads_.size());
-        hotWrites_.push_back(rebase(st.write, L.depth, vStart, dir));
+        hotWrites_.push_back(rebase(st.write, L.depth, it));
         hotStmts_.push_back(hs);
       }
       if (hotStmts_.empty()) continue;
-      const std::int64_t trips = seg.hi - seg.lo + 1;
       if (sink_ != nullptr)
-        runSegment<true>(trips);
+        runSegment<true>(it.trips);
       else
-        runSegment<false>(trips);
+        runSegment<false>(it.trips);
     }
   }
 
-  // Per access the steady state is one load, one mix, and one in-place
-  // "addr += step"; per instance one mix64 store.  Measured against
+  // Valued, per access the steady state is one load, one mix, and one
+  // in-place "addr += step"; per instance one mix64 store.  Measured against
   // hand-written kernels of the same value semantics, this loop is within
   // ~5% of the mix-chain floor — variants that recompute addresses as
   // base + t*step or pre-expand address strips both measured slower here.
   template <bool Emit>
   void runSegment(std::int64_t trips) {
-    std::uint64_t* mem = result_.memory.data();
+    [[maybe_unused]] std::uint64_t* mem = mem_;
     const HotStmt* stmts = hotStmts_.data();
     HotRef* reads = hotReads_.data();
     HotRef* writes = hotWrites_.data();
@@ -419,16 +480,18 @@ class PlanExecutor {
     for (std::int64_t t = 0; t < trips; ++t) {
       for (std::size_t si = 0; si < numStmts; ++si) {
         const HotStmt hs = stmts[si];
-        std::uint64_t acc = hs.seed;
+        [[maybe_unused]] std::uint64_t acc = hs.seed;
         for (std::uint32_t ri = hs.rBegin; ri < hs.rEnd; ++ri) {
           HotRef& hr = reads[ri];
-          acc = mixCombine(acc,
-                           mem[static_cast<std::uint64_t>(hr.addr) >> 3]);
+          if constexpr (Values)
+            acc = mixCombine(acc,
+                             mem[static_cast<std::uint64_t>(hr.addr) >> 3]);
           if constexpr (Emit) bPool_.push_back(hr.addr);
           hr.addr += hr.step;
         }
         HotRef& wr = writes[si];
-        mem[static_cast<std::uint64_t>(wr.addr) >> 3] = mix64(acc);
+        if constexpr (Values)
+          mem[static_cast<std::uint64_t>(wr.addr) >> 3] = mix64(acc);
         if constexpr (Emit) {
           bStmt_.push_back(hs.stmtId);
           bOff_.push_back(bPool_.size());
@@ -437,27 +500,27 @@ class PlanExecutor {
         wr.addr += wr.step;
       }
       if constexpr (Emit)
-        if (bStmt_.size() >= kBlockCapacity) flushBlock();
+        if (bStmt_.size() >= kBlockCapacity) flush();
     }
-    result_.instrCount += static_cast<std::uint64_t>(trips) * numStmts;
+    instrs_ += static_cast<std::uint64_t>(trips) * numStmts;
   }
 
-  void execStmtSlow(const PlanStmt& st) {
-    std::uint64_t* mem = result_.memory.data();
-    std::uint64_t acc = st.seed;
+  void execStmt(const PlanStmt& st) {
+    [[maybe_unused]] std::uint64_t acc = st.seed;
     for (const PlanRef& r : st.reads) {
       const std::int64_t a = evalAddr(r, st.depth);
-      acc = mixCombine(acc, mem[static_cast<std::uint64_t>(a) >> 3]);
+      if constexpr (Values)
+        acc = mixCombine(acc, mem_[static_cast<std::uint64_t>(a) >> 3]);
       if (sink_ != nullptr) bPool_.push_back(a);
     }
     const std::int64_t w = evalAddr(st.write, st.depth);
-    mem[static_cast<std::uint64_t>(w) >> 3] = mix64(acc);
-    ++result_.instrCount;
+    if constexpr (Values) mem_[static_cast<std::uint64_t>(w) >> 3] = mix64(acc);
+    ++instrs_;
     if (sink_ != nullptr) {
       bStmt_.push_back(st.stmtId);
       bOff_.push_back(bPool_.size());
       bWrites_.push_back(w);
-      if (bStmt_.size() >= kBlockCapacity) flushBlock();
+      if (bStmt_.size() >= kBlockCapacity) flush();
     }
   }
 
@@ -469,7 +532,7 @@ class PlanExecutor {
     return addr;
   }
 
-  void flushBlock() {
+  void flush() {
     if (bStmt_.empty()) return;
     sink_->onBlock(InstrBlock{bStmt_, bOff_, bPool_, bWrites_});
     bStmt_.clear();
@@ -480,8 +543,10 @@ class PlanExecutor {
   }
 
   const AccessPlan& plan_;
+  const ScheduleSlice slice_;
   InstrSink* sink_;
-  ExecResult result_;
+  std::uint64_t* mem_;  ///< null unless Values
+  std::uint64_t instrs_ = 0;
   std::vector<std::int64_t> ivs_;
   std::vector<std::vector<std::uint8_t>> keep_;  ///< per loop, per child
   std::vector<HotRef> hotReads_;
@@ -504,8 +569,70 @@ PlanCompileResult compilePlan(const Program& p, const DataLayout& layout,
 
 ExecResult executePlan(const AccessPlan& plan, const ExecOptions& opts,
                        InstrSink* sink) {
-  PlanExecutor exec(plan, opts, sink);
-  return exec.run();
+  ExecResult result;
+  result.memory.assign(static_cast<std::size_t>(plan.layout->totalBytes() / 8),
+                       0);
+  initializeMemory(*plan.program, *plan.layout, opts, result.memory);
+  result.instrCount =
+      PlanWalker<true>(plan, ScheduleSlice{}, sink, result.memory.data()).run();
+  return result;
+}
+
+const char* parallelScheduleName(ParallelSchedule s) {
+  return s == ParallelSchedule::Block ? "block" : "cyclic";
+}
+
+void replaySlice(const AccessPlan& plan, const ScheduleSlice& slice,
+                 InstrSink* sink) {
+  GCR_CHECK(slice.cores >= 1, "schedule needs at least one core");
+  GCR_CHECK(slice.core >= 0 && slice.core < slice.cores,
+            "core index outside [0, cores)");
+  GCR_CHECK(sink != nullptr, "replaySlice needs a sink");
+  PlanWalker<false>(plan, slice, sink).run();
+}
+
+void replayInterleaved(const AccessPlan& plan, int cores,
+                       ParallelSchedule schedule, InstrSink* sink) {
+  GCR_CHECK(cores >= 1, "schedule needs at least one core");
+  GCR_CHECK(sink != nullptr, "replayInterleaved needs a sink");
+  if (cores == 1) {
+    replaySlice(plan, {1, 0, schedule}, sink);
+    return;
+  }
+  // Region streams carry no time-step dependence (addresses are affine in
+  // the iteration variables only), so materialize each top-level child's
+  // per-core sub-streams once and re-emit them every time step.  A bare
+  // statement child is core 0's one-instance stream.
+  std::vector<std::vector<InstrTrace>> regions;
+  regions.reserve(plan.top.size());
+  for (const PlanChild& c : plan.top) {
+    std::vector<InstrTrace> streams(
+        c.isLoop ? static_cast<std::size_t>(cores) : 1);
+    for (std::size_t core = 0; core < streams.size(); ++core)
+      PlanWalker<false>(plan, {cores, static_cast<int>(core), schedule},
+                        &streams[core])
+          .runRegion(c);
+    regions.push_back(std::move(streams));
+  }
+  for (std::uint64_t t = 0; t < plan.timeSteps; ++t) {
+    for (const std::vector<InstrTrace>& streams : regions) {
+      // Lockstep round-robin: one statement instance per core per round,
+      // core order fixed; a core that exhausts its stream drops out while
+      // the rest continue.  Implicit barrier = finishing the region.
+      std::vector<std::size_t> pos(streams.size(), 0);
+      bool any = true;
+      while (any) {
+        any = false;
+        for (std::size_t core = 0; core < streams.size(); ++core) {
+          const InstrTrace& s = streams[core];
+          if (pos[core] >= s.size()) continue;
+          const std::size_t i = pos[core]++;
+          sink->onInstr(s.stmtId(i), s.reads(i), s.writeAddr(i));
+          any = true;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace gcr

@@ -27,7 +27,12 @@
 // the two engines are differentially tested to produce byte-identical
 // memory images, instruction counts, and traces.
 //
-// The executor emits instances into a structure-of-arrays chunk buffer and
+// One walker traverses a plan, in two instantiations: executePlan() runs it
+// with values (the memory image and the mix chain), and the schedule
+// replays of interp/schedule.hpp run it address-only over one core's slice
+// of every top-level loop.  Segment order, reversed loops, outer guards,
+// address recurrences and sink delivery are the same code in both.  The
+// walker emits instances into a structure-of-arrays chunk buffer and
 // delivers them to the sink via InstrSink::onBlock (one virtual call per ~4K
 // instances) instead of once per instance.
 #pragma once

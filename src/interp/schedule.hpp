@@ -16,10 +16,17 @@
 //
 // Replay is address-only: a statement instance's addresses are affine in the
 // iteration variables and never depend on memory contents, so a core's
-// sub-stream is exactly computable without value semantics.  The emitted
-// stream preserves the serial plan order restricted to the slice —
-// replaySlice with cores == 1 reproduces executePlan's sink stream
-// instruction for instruction (pinned by tests/interp/schedule_test.cpp).
+// sub-stream is exactly computable without value semantics.  It runs the
+// same plan walker as executePlan (plan.cpp) without values; within each
+// segment a core's iterations of a top-level loop form an arithmetic
+// progression, which the walker steps through directly, strength-reduced
+// inner loops included.  The emitted stream preserves the serial plan order
+// restricted to the slice, so replaySlice with cores == 1 reproduces
+// executePlan's sink stream instruction for instruction by construction.
+// tests/interp/schedule_test.cpp pins that over every evaluation app and
+// five strategies and 100 fuzz programs, and schedule_referee_test.cpp
+// compares every slice with a referee walker that tests ownership one
+// iteration at a time (tests/interp/slice_walker.hpp).
 //
 // replayInterleaved() is the exact-trace referee for the shared-LLC model:
 // it materializes every core's sub-stream of a parallel region and merges

@@ -10,11 +10,12 @@
 //   * onInstr  — one virtual call per statement instance (the tree-walking
 //     interpreter's native granularity);
 //   * onBlock  — one virtual call per structure-of-arrays chunk of ~4K
-//     instances (the compiled plan engine's native granularity), amortizing
-//     dispatch and enabling bulk appends.
+//     instances (the plan walker's native granularity, for executePlan and
+//     the schedule replays alike), amortizing dispatch and enabling bulk
+//     appends.
 // Every sink accepts both: InstrSink::onBlock has a default implementation
-// that replays the block instance-by-instance into onInstr (the compatibility
-// shim for legacy sinks), and the high-traffic sinks below override it.
+// that replays the block instance by instance into onInstr, and the
+// high-traffic sinks below override it.
 #pragma once
 
 #include <cstdint>
@@ -47,70 +48,11 @@ class InstrSink {
   virtual void onInstr(int stmtId, std::span<const std::int64_t> readAddrs,
                        std::int64_t writeAddr) = 0;
   /// Blocked delivery.  The default replays the chunk through onInstr in
-  /// instance order, so legacy sinks consume block producers unchanged.
+  /// instance order, so an onInstr-only sink consumes blocks unchanged.
   virtual void onBlock(const InstrBlock& b) {
     for (std::size_t i = 0; i < b.size(); ++i)
       onInstr(b.stmtIds[i], b.reads(i), b.writes[i]);
   }
-};
-
-/// Base for block-native sinks: implement onBlock only; single instances
-/// arrive as one-element blocks (no allocation).
-class InstrBlockSink : public InstrSink {
- public:
-  void onInstr(int stmtId, std::span<const std::int64_t> reads,
-               std::int64_t write) final {
-    const std::uint64_t offs[2] = {0, reads.size()};
-    onBlock(InstrBlock{{&stmtId, 1}, {offs, 2}, reads, {&write, 1}});
-  }
-  void onBlock(const InstrBlock& b) override = 0;
-};
-
-/// Accumulates per-instance deliveries into ~capacity-instance blocks and
-/// forwards them to a downstream sink's onBlock — converts an instance-
-/// granularity producer (e.g. the tree walker) into a block producer.
-/// flush() on destruction; call flush() earlier to bound latency.
-class BlockBatcher final : public InstrSink {
- public:
-  static constexpr std::size_t kDefaultCapacity = 4096;
-
-  explicit BlockBatcher(InstrSink* downstream,
-                        std::size_t capacity = kDefaultCapacity)
-      : downstream_(downstream), capacity_(capacity ? capacity : 1) {
-    readOffsets_.push_back(0);
-  }
-  ~BlockBatcher() override { flush(); }
-
-  void onInstr(int stmtId, std::span<const std::int64_t> reads,
-               std::int64_t write) override {
-    stmtIds_.push_back(stmtId);
-    readPool_.insert(readPool_.end(), reads.begin(), reads.end());
-    readOffsets_.push_back(readPool_.size());
-    writes_.push_back(write);
-    if (stmtIds_.size() >= capacity_) flush();
-  }
-  void onBlock(const InstrBlock& b) override {
-    flush();
-    downstream_->onBlock(b);
-  }
-
-  void flush() {
-    if (stmtIds_.empty()) return;
-    downstream_->onBlock(
-        InstrBlock{stmtIds_, readOffsets_, readPool_, writes_});
-    stmtIds_.clear();
-    readOffsets_.assign(1, 0);
-    readPool_.clear();
-    writes_.clear();
-  }
-
- private:
-  InstrSink* downstream_;
-  std::size_t capacity_;
-  std::vector<int> stmtIds_;
-  std::vector<std::uint64_t> readOffsets_;
-  std::vector<std::int64_t> readPool_;
-  std::vector<std::int64_t> writes_;
 };
 
 /// Fan-out to several sinks.

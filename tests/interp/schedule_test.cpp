@@ -1,9 +1,9 @@
 // Schedule-aware plan replay (interp/schedule.hpp): the per-core slice
 // streams of a static parallel schedule must partition the serial stream
 // (each slice a subsequence, the union exact), cores == 1 must reproduce
-// executePlan instruction for instruction, and the interleaved referee
-// stream must be a permutation of the serial stream with the documented
-// round-robin order.
+// executePlan instruction for instruction over the whole schedule corpus
+// (schedule_corpus.hpp), and the interleaved referee stream must be a
+// permutation of the serial stream with the documented round-robin order.
 #include "interp/schedule.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "apps/registry.hpp"
 #include "driver/pipeline.hpp"
 #include "interp/plan.hpp"
+#include "interp/schedule_corpus.hpp"
 #include "ir/builder.hpp"
 
 namespace gcr {
@@ -68,26 +69,27 @@ bool isSubsequence(const std::vector<std::string>& sub,
   return j == sub.size();
 }
 
-TEST(Schedule, SingleCoreSliceReproducesExecutePlan) {
-  for (const char* app : {"ADI", "Swim", "Tomcatv"}) {
-    SCOPED_TRACE(app);
-    for (Strategy s : {Strategy::NoOpt, Strategy::Fused}) {
-      const auto c = compileApp(app, s, 20);
-      ASSERT_TRUE(c->compiled.ok()) << c->compiled.reason;
-
-      InstrTrace serial;
-      executePlan(*c->compiled.plan, {.n = 20}, &serial);
-      for (ParallelSchedule sched :
-           {ParallelSchedule::Block, ParallelSchedule::Cyclic}) {
-        InstrTrace slice;
-        replaySlice(*c->compiled.plan, {1, 0, sched}, &slice);
-        ASSERT_EQ(slice.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i)
-          ASSERT_EQ(instanceKey(slice, i), instanceKey(serial, i))
-              << "instance " << i;
-      }
-    }
+// The valued walk (executePlan) and the address-only walk (replaySlice)
+// must emit the same stream, over every app, strategy and fuzz program of
+// the schedule corpus.
+void expectSingleCoreSliceIsSerial(const testing::CorpusCase& c) {
+  InstrTrace serial;
+  executePlan(c.plan(), c.opts, &serial);
+  for (ParallelSchedule sched :
+       {ParallelSchedule::Block, ParallelSchedule::Cyclic}) {
+    InstrTrace slice;
+    replaySlice(c.plan(), {1, 0, sched}, &slice);
+    ASSERT_EQ(testing::firstStreamMismatch(serial, slice), -1)
+        << c.name << ", " << parallelScheduleName(sched) << ": serial "
+        << serial.size() << " instances, slice " << slice.size();
   }
+}
+
+TEST(Schedule, SingleCoreSliceReproducesExecutePlan) {
+  testing::forEachRegistryCase(expectSingleCoreSliceIsSerial);
+  testing::forEachFuzzCase(Strategy::NoOpt, expectSingleCoreSliceIsSerial);
+  testing::forEachFuzzCase(Strategy::FusedRegrouped,
+                           expectSingleCoreSliceIsSerial);
 }
 
 TEST(Schedule, SlicesPartitionTheSerialStream) {

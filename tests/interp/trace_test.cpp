@@ -80,25 +80,6 @@ TEST(InstrSink, DefaultOnBlockReplaysIntoOnInstr) {
   EXPECT_EQ(r.trace.reads(0)[0], 8);
 }
 
-TEST(InstrBlockSink, SingleInstrArrivesAsSingletonBlock) {
-  class BlockCounter final : public InstrBlockSink {
-   public:
-    void onBlock(const InstrBlock& b) override {
-      blocks++;
-      instrs += b.size();
-      reads += b.readPool.size();
-    }
-    int blocks = 0;
-    std::size_t instrs = 0, reads = 0;
-  };
-  BlockCounter c;
-  const std::int64_t reads[] = {8, 16};
-  static_cast<InstrSink&>(c).onInstr(3, reads, 24);
-  EXPECT_EQ(c.blocks, 1);
-  EXPECT_EQ(c.instrs, 1u);
-  EXPECT_EQ(c.reads, 2u);
-}
-
 TEST(CountingSink, BlockAndInstrPathsAgree) {
   CountingSink byInstr, byBlock;
   const InstrBlock b = sampleBlock();
@@ -148,23 +129,6 @@ TEST(InstrTrace, ReadPoolOffsetsAreSixtyFourBit) {
     EXPECT_EQ(t.reads(i)[2], 3);
     EXPECT_EQ(t.writeAddr(i), 100 + static_cast<std::int64_t>(i));
   }
-}
-
-TEST(BlockBatcher, BatchesAndFlushes) {
-  InstrTrace downstream;
-  {
-    BlockBatcher batcher(&downstream, /*capacity=*/2);
-    const std::int64_t reads[] = {8};
-    batcher.onInstr(0, reads, 16);
-    EXPECT_EQ(downstream.size(), 0u);  // below capacity: buffered
-    batcher.onInstr(1, reads, 24);
-    EXPECT_EQ(downstream.size(), 2u);  // capacity reached: flushed
-    batcher.onInstr(2, {}, 32);
-  }  // destructor flushes the tail
-  ASSERT_EQ(downstream.size(), 3u);
-  EXPECT_EQ(downstream.stmtId(2), 2);
-  EXPECT_EQ(downstream.reads(2).size(), 0u);
-  EXPECT_EQ(downstream.reads(1).size(), 1u);
 }
 
 }  // namespace
