@@ -109,7 +109,8 @@ int main() {
     t0 = now();
     for (const std::int64_t n : sizes) {
       const DataLayout layout = contiguousLayout(p, n);
-      SampledReuseSink sink(8, kSampleRate);
+      ReuseDistanceSink sink(8, kSampleRate);
+      sink.reserve(static_cast<std::uint64_t>(layout.totalBytes()));
       execute(p, layout, {.n = n}, &sink);
       (void)sink.takeProfile();
     }
@@ -120,6 +121,7 @@ int main() {
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       const DataLayout layout = contiguousLayout(p, sizes[i]);
       ReuseDistanceSink sink(8);
+      sink.reserve(static_cast<std::uint64_t>(layout.totalBytes()));
       execute(p, layout, {.n = sizes[i]}, &sink);
       const ReuseProfile exact = sink.takeProfile();
       const ProfileComparison c =

@@ -1,7 +1,6 @@
 #include "driver/measure.hpp"
 
 #include "interp/plan.hpp"
-#include "ir/stats.hpp"
 #include "locality/sampled_reuse.hpp"
 
 namespace gcr {
@@ -30,18 +29,8 @@ Measurement measureExecution(const Execution& e, const MachineConfig& machine,
 }
 
 ReuseProfile profileExecution(const Execution& e, double sampleRate) {
-  const std::uint64_t expectedRefs =
-      estimateDynamicRefs(e.program, e.opts.n, e.opts.timeSteps);
-  const std::uint64_t dataBytes =
-      static_cast<std::uint64_t>(e.layout.totalBytes());
-  if (sampleRate >= 1.0) {
-    ReuseDistanceSink sink(8);
-    sink.reserve(expectedRefs, dataBytes);
-    run(e, &sink);
-    return sink.takeProfile();
-  }
-  SampledReuseSink sink(8, sampleRate);
-  sink.reserve(expectedRefs, dataBytes);
+  ReuseDistanceSink sink(8, sampleRate);
+  sink.reserve(static_cast<std::uint64_t>(e.layout.totalBytes()));
   run(e, &sink);
   return sink.takeProfile();
 }
@@ -67,8 +56,7 @@ void collectPairwise(const ProgramVersion& version, std::int64_t n,
                      PairwiseReuseCollector& collector,
                      std::uint64_t timeSteps) {
   DataLayout layout = version.layoutAt(n);
-  collector.reserve(estimateDynamicRefs(version.program, n, timeSteps),
-                    static_cast<std::uint64_t>(layout.totalBytes()));
+  collector.reserve(0, static_cast<std::uint64_t>(layout.totalBytes()));
   execute(version.program, layout, {.n = n, .timeSteps = timeSteps},
           &collector);
 }

@@ -91,9 +91,8 @@ struct Execution {
 Measurement measureExecution(const Execution& e, const MachineConfig& machine,
                              const CostModel& cost);
 
-/// The one ReuseProfile assembly: the exact tracker at sampleRate >= 1, the
-/// sampled tracker below it, pre-sized from the program's dynamic reference
-/// count and data footprint.
+/// The one ReuseProfile assembly: the reuse sink at `sampleRate` (exact at
+/// rate 1), with the layout's elements indexed densely.
 ReuseProfile profileExecution(const Execution& e, double sampleRate);
 
 /// Per-statement-pair reuse statistics (for evadable-reuse classification).

@@ -52,6 +52,7 @@
 #include "locality/evadable.hpp"
 #include "locality/multicore.hpp"
 #include "locality/reuse_distance.hpp"
+#include "locality/sampled_reuse.hpp"
 #include "regroup/regroup.hpp"
 #include "reuse_driven/reuse_driven.hpp"
 #include "store/codec.hpp"

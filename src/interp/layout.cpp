@@ -16,7 +16,8 @@ std::vector<std::int64_t> concreteExtents(const ArrayDecl& d, std::int64_t n) {
 
 std::int64_t elementCount(const ArrayDecl& d, std::int64_t n) {
   std::int64_t count = 1;
-  for (std::int64_t e : concreteExtents(d, n)) count *= e;
+  for (std::int64_t e : concreteExtents(d, n))
+    count = checkedMul(count, e, "array element count");
   return count;
 }
 
@@ -34,11 +35,13 @@ DataLayout buildContiguous(const Program& p, std::int64_t n,
     std::int64_t stride = d.elemSize;
     for (int dim = static_cast<int>(ext.size()) - 1; dim >= 0; --dim) {
       m.strides[static_cast<std::size_t>(dim)] = stride;
-      stride *= ext[static_cast<std::size_t>(dim)];
+      stride = checkedMul(stride, ext[static_cast<std::size_t>(dim)],
+                          "array byte size");
     }
     m.base = cursor;
-    cursor += stride;  // stride == total bytes of this array
-    cursor += padBytes;
+    // stride == total bytes of this array
+    cursor = checkedAdd(checkedAdd(cursor, stride, "layout size"), padBytes,
+                        "layout size");
     maps.push_back(std::move(m));
   }
   return DataLayout(std::move(maps), cursor);

@@ -24,7 +24,9 @@ struct ArrayLayout {
 class DataLayout {
  public:
   DataLayout(std::vector<ArrayLayout> perArray, std::int64_t totalBytes)
-      : perArray_(std::move(perArray)), totalBytes_(totalBytes) {}
+      : perArray_(std::move(perArray)), totalBytes_(totalBytes) {
+    GCR_CHECK(totalBytes_ >= 0, "negative layout size");
+  }
 
   std::int64_t addressOf(ArrayId a, std::span<const std::int64_t> idx) const {
     const ArrayLayout& l = perArray_[static_cast<std::size_t>(a)];

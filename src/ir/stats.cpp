@@ -33,6 +33,7 @@ ProgramStats computeStats(const Program& p) {
 
 std::uint64_t estimateDynamicRefs(const Program& p, std::int64_t n,
                                   std::uint64_t timeSteps) {
+  constexpr const char* kWhat = "dynamic reference count";
   std::uint64_t total = 0;
   forEachAssign(p, [&](const Assign& a,
                        const std::vector<const Loop*>& stack) {
@@ -40,11 +41,17 @@ std::uint64_t estimateDynamicRefs(const Program& p, std::int64_t n,
     for (const Loop* l : stack) {
       const std::int64_t lo = l->lo.eval(n);
       const std::int64_t hi = l->hi.eval(n);
-      iters *= hi >= lo ? static_cast<std::uint64_t>(hi - lo + 1) : 0;
+      if (hi < lo) return;  // the statement never runs
+      const std::uint64_t span =
+          static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+      iters = checkedMul(iters, checkedAdd<std::uint64_t>(span, 1, kWhat),
+                         kWhat);
     }
-    total += iters * (a.rhs.size() + 1);
+    total = checkedAdd(
+        total, checkedMul<std::uint64_t>(iters, a.rhs.size() + 1, kWhat),
+        kWhat);
   });
-  return total * timeSteps;
+  return checkedMul(total, timeSteps, kWhat);
 }
 
 std::string ProgramStats::summary() const {

@@ -26,8 +26,8 @@ ProgramStats computeStats(const Program& p);
 
 /// Upper bound on the dynamic memory references (reads + writes) executed at
 /// problem size `n`: guard ranges are ignored, so every statement is charged
-/// the full trip count of its enclosing loops.  Used to pre-size the
-/// reuse-distance structures before a trace run.
+/// the full trip count of its enclosing loops.  Used to pre-size trace
+/// buffers.  Throws gcr::Error when the count overflows 64 bits.
 std::uint64_t estimateDynamicRefs(const Program& p, std::int64_t n,
                                   std::uint64_t timeSteps = 1);
 

@@ -13,26 +13,27 @@ PairwiseReuseCollector::PairwiseReuseCollector(std::int64_t granularity)
   GCR_CHECK(granularity_ > 0, "granularity must be positive");
 }
 
+void PairwiseReuseCollector::reserve(std::uint64_t,
+                                     std::uint64_t expectedDistinctBytes) {
+  const std::uint64_t range =
+      expectedDistinctBytes / static_cast<std::uint64_t>(granularity_);
+  if (range == 0) return;
+  tracker_.reserve(0, range);
+  lastStmt_.setRange(range);
+}
+
 void PairwiseReuseCollector::accessFrom(int stmtId, std::int64_t addr) {
   addr /= granularity_;
-  Last& l = last_[addr];
-  if (l.timePlusOne != 0) {
-    const std::uint64_t prev = l.timePlusOne - 1;
-    const std::uint64_t distance = static_cast<std::uint64_t>(
-        time_ > prev + 1 ? marks_.rangeSum(prev + 1, time_ - 1) : 0);
-    marks_.add(prev, -1);
-    histogram_.add(distance);
-    ReusePairStats& st = pairs_[pairKey(l.stmt, stmtId)];
+  const std::uint64_t distance = tracker_.access(addr);
+  int& last = lastStmt_[addr];
+  histogram_.add(distance);
+  if (distance != Log2Histogram::kCold) {
+    ReusePairStats& st = pairs_[pairKey(last, stmtId)];
     ++st.count;
     st.sumDistance += static_cast<double>(distance);
     ++totalReuses_;
-  } else {
-    histogram_.add(Log2Histogram::kCold);
   }
-  marks_.add(time_, +1);
-  l.timePlusOne = time_ + 1;
-  l.stmt = stmtId;
-  ++time_;
+  last = stmtId;
 }
 
 void PairwiseReuseCollector::onInstr(int stmtId,

@@ -15,7 +15,7 @@
 #include <cstdint>
 
 #include "interp/trace.hpp"
-#include "locality/fenwick.hpp"
+#include "locality/reuse_distance.hpp"
 #include "support/flat_map.hpp"
 #include "support/histogram.hpp"
 
@@ -31,8 +31,10 @@ struct ReusePairStats {
 };
 
 /// Collects per-(producer stmt, consumer stmt) reuse-distance statistics plus
-/// the overall histogram.  Stmt ids identify the statement performing each
-/// access; for reordered traces feed accesses via accessFrom().
+/// the overall histogram: a ReuseDistanceTracker for the distances, and a
+/// per-datum table of the statement that last touched each datum.  Stmt ids
+/// identify the statement performing each access; for reordered traces feed
+/// accesses via accessFrom().
 class PairwiseReuseCollector final : public InstrSink {
  public:
   explicit PairwiseReuseCollector(std::int64_t granularity = 8);
@@ -44,35 +46,24 @@ class PairwiseReuseCollector final : public InstrSink {
   /// Feed one access outside instruction context (for reordered traces).
   void accessFrom(int stmtId, std::int64_t addr);
 
-  /// Pre-size the mark tree and last-access map for an expected access count
-  /// and data footprint (bytes), mirroring ReuseDistanceTracker::reserve.
+  /// Index the data footprint [0, expectedDistinctBytes) densely, as
+  /// ReuseDistanceTracker::reserve does; `expectedAccesses` is ignored.
+  /// Call before the first access.
   void reserve(std::uint64_t expectedAccesses,
-               std::uint64_t expectedDistinctBytes = 0) {
-    marks_.reserve(expectedAccesses);
-    const std::uint64_t data = static_cast<std::uint64_t>(
-        expectedDistinctBytes / static_cast<std::uint64_t>(granularity_));
-    last_.reserve(static_cast<std::size_t>(data > 0 ? data
-                                                    : expectedAccesses));
-  }
+               std::uint64_t expectedDistinctBytes = 0);
 
   const FlatMap64<ReusePairStats>& pairs() const { return pairs_; }
   const Log2Histogram& histogram() const { return histogram_; }
   std::uint64_t totalReuses() const { return totalReuses_; }
-  std::uint64_t accesses() const { return time_; }
+  std::uint64_t accesses() const { return tracker_.accesses(); }
 
  private:
-  struct Last {
-    std::uint64_t timePlusOne = 0;
-    int stmt = -1;
-  };
-
   std::int64_t granularity_;
-  FlatMap64<Last> last_;
-  FenwickTree marks_;
+  ReuseDistanceTracker tracker_;
+  ElementIndex<int> lastStmt_;  // datum -> statement of its latest access
   FlatMap64<ReusePairStats> pairs_;
   Log2Histogram histogram_;
   std::uint64_t totalReuses_ = 0;
-  std::uint64_t time_ = 0;
 };
 
 struct EvadableReport {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "locality/sampled_reuse.hpp"
 #include "support/assert.hpp"
 
 namespace gcr {
@@ -70,6 +71,7 @@ MulticoreProfile analyzeMulticore(const AccessPlan& plan,
   GCR_CHECK(topo.cores >= 1, "topology needs at least one core");
   GCR_CHECK(topo.llc.lineSize > 0, "topology LLC needs a line size");
   const int cores = topo.cores;
+  const auto dataBytes = static_cast<std::uint64_t>(plan.layout->totalBytes());
 
   struct CoreOut {
     CoreCacheStats stats;
@@ -79,6 +81,7 @@ MulticoreProfile analyzeMulticore(const AccessPlan& plan,
   auto runCore = [&](std::size_t c) {
     PrivateLevelsSink priv(topo.l1, topo.l2);
     ReuseDistanceSink lines(topo.llc.lineSize);
+    lines.reserve(dataBytes);
     TeeSink tee({&priv, &lines});
     replaySlice(plan, {cores, static_cast<int>(c), topo.schedule}, &tee);
     CoreOut& o = outs[c];
@@ -127,6 +130,7 @@ ReuseProfile interleavedSharedProfile(const AccessPlan& plan,
                                       const CacheTopology& topo) {
   GCR_CHECK(topo.llc.lineSize > 0, "topology LLC needs a line size");
   ReuseDistanceSink sink(topo.llc.lineSize);
+  sink.reserve(static_cast<std::uint64_t>(plan.layout->totalBytes()));
   replayInterleaved(plan, topo.cores, topo.schedule, &sink);
   return sink.takeProfile();
 }

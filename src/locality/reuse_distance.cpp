@@ -1,41 +1,58 @@
 #include "locality/reuse_distance.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace gcr {
 
-std::uint64_t ReuseDistanceTracker::access(std::int64_t addr) {
-  std::uint64_t& lastPlusOne = last_[addr];
-  std::uint64_t distance = kCold;
-  if (lastPlusOne != 0) {
-    const std::uint64_t prev = lastPlusOne - 1;
-    // Marks strictly after `prev` and strictly before `time_` are the
-    // distinct other data touched in between.
-    distance = static_cast<std::uint64_t>(
-        time_ > prev + 1 ? marks_.rangeSum(prev + 1, time_ - 1) : 0);
-    marks_.add(prev, -1);
-  }
-  marks_.add(time_, +1);
-  lastPlusOne = time_ + 1;
-  ++time_;
-  return distance;
+namespace {
+// Capacity starts at kMinSlots and doubles until it is at least twice the
+// live count, so a compaction leaves half the slots free.  Below 2^30 live
+// data it stays at most 2^31, and 1 + slot fits 32 bits.
+constexpr std::uint64_t kMinSlots = 1024;
+}  // namespace
+
+void ReuseDistanceTracker::reserve(std::uint64_t, std::uint64_t elementRange) {
+  if (elementRange == 0) return;
+  GCR_CHECK(accesses_ == 0,
+            "reserve the element range before the first access");
+  lastSlot_.setRange(elementRange);
 }
 
-std::vector<std::uint64_t> naiveReuseDistances(
-    const std::vector<std::int64_t>& trace) {
-  std::vector<std::uint64_t> out(trace.size(), ReuseDistanceTracker::kCold);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    for (std::size_t j = i; j-- > 0;) {
-      if (trace[j] == trace[i]) {
-        std::unordered_set<std::int64_t> between;
-        for (std::size_t k = j + 1; k < i; ++k)
-          if (trace[k] != trace[i]) between.insert(trace[k]);
-        out[i] = between.size();
-        break;
-      }
+void ReuseDistanceTracker::compact() {
+  // Renumber the live marks 0, 1, ... in time order.  A mark never moves to
+  // a later slot, so datumAt_ is rewritten in place.
+  std::uint32_t next = 0;
+  for (std::size_t w = 0; w < bits_.size(); ++w) {
+    for (std::uint64_t b = bits_[w]; b != 0; b &= b - 1) {
+      const std::int64_t key =
+          datumAt_[w * 64 + static_cast<std::size_t>(std::countr_zero(b))];
+      datumAt_[next] = key;
+      lastSlot_[key] = ++next;
     }
   }
-  return out;
+  GCR_ASSERT(next == live_);
+
+  std::uint64_t slots = std::max<std::uint64_t>(capacity_, kMinSlots);
+  while (slots < 2 * live_) slots *= 2;
+  if (slots != capacity_) {
+    capacity_ = static_cast<std::uint32_t>(slots);
+    datumAt_.resize(slots);
+    bits_.resize(slots / 64);
+    tree_.resize(slots / 64 + 1);
+  }
+
+  // Slots [0, live) hold the marks; the words they fill are in the tree.
+  const auto full = static_cast<std::size_t>(live_ / 64);
+  std::fill(bits_.begin(), bits_.end(), 0);
+  std::fill_n(bits_.begin(), full, ~std::uint64_t{0});
+  if (live_ % 64 != 0) bits_[full] = (std::uint64_t{1} << (live_ % 64)) - 1;
+  std::fill(tree_.begin(), tree_.end(), 0);
+  std::fill_n(tree_.begin() + 1, full, 64);
+  for (std::size_t i = 1; i < tree_.size(); ++i) {
+    const std::size_t parent = i + (i & (~i + 1));
+    if (parent < tree_.size()) tree_[parent] += tree_[i];
+  }
+  cursor_ = next;
 }
 
 double ReuseProfile::missFractionAtCapacity(std::uint64_t cap) const {
@@ -43,36 +60,6 @@ double ReuseProfile::missFractionAtCapacity(std::uint64_t cap) const {
   if (finite == 0) return 0.0;
   return static_cast<double>(histogram.countAtLeast(cap)) /
          static_cast<double>(finite);
-}
-
-ReuseDistanceSink::ReuseDistanceSink(std::int64_t granularity)
-    : granularity_(granularity) {
-  GCR_CHECK(granularity_ > 0, "granularity must be positive");
-}
-
-void ReuseDistanceSink::touch(std::int64_t addr) {
-  const std::uint64_t d = tracker_.access(addr / granularity_);
-  profile_.histogram.add(d);
-}
-
-void ReuseDistanceSink::onInstr(int, std::span<const std::int64_t> reads,
-                                std::int64_t write) {
-  for (std::int64_t r : reads) touch(r);
-  touch(write);
-}
-
-void ReuseDistanceSink::onBlock(const InstrBlock& b) {
-  // One dispatch per chunk; same flattening order as onInstr.
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    for (std::int64_t r : b.reads(i)) touch(r);
-    touch(b.writes[i]);
-  }
-}
-
-ReuseProfile ReuseDistanceSink::takeProfile() {
-  profile_.accesses = tracker_.accesses();
-  profile_.distinctData = tracker_.distinctData();
-  return std::move(profile_);
 }
 
 ReuseProfile mergeProfiles(std::span<const ReuseProfile> parts) {
@@ -83,17 +70,6 @@ ReuseProfile mergeProfiles(std::span<const ReuseProfile> parts) {
     total.distinctData += p.distinctData;
   }
   return total;
-}
-
-ReuseProfile profileAddresses(const std::vector<std::int64_t>& addrs,
-                              std::int64_t granularity) {
-  ReuseDistanceTracker tracker;
-  tracker.reserve(addrs.size());
-  ReuseProfile prof;
-  for (std::int64_t a : addrs) prof.histogram.add(tracker.access(a / granularity));
-  prof.accesses = tracker.accesses();
-  prof.distinctData = tracker.distinctData();
-  return prof;
 }
 
 }  // namespace gcr

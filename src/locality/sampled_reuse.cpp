@@ -1,9 +1,6 @@
 #include "locality/sampled_reuse.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "support/prng.hpp"
 
 namespace gcr {
 
@@ -20,74 +17,39 @@ SampledReuseTracker::SampledReuseTracker(double rate)
                            : static_cast<std::uint64_t>(std::ldexp(rate_, 64));
 }
 
-bool SampledReuseTracker::isSampled(std::int64_t addr) const {
-  if (exact_mode_) return true;
-  return mix64(static_cast<std::uint64_t>(addr)) < threshold_;
-}
-
-std::uint64_t SampledReuseTracker::access(std::int64_t addr) {
-  ++accesses_;
-  if (!isSampled(addr)) return kNotSampled;
-  const std::uint64_t d = exact_.access(addr);
-  if (exact_mode_ || d == kCold) return d;
-  return static_cast<std::uint64_t>(
-      std::llround(static_cast<double>(d) * inverseRate_));
-}
-
-void SampledReuseTracker::reserve(std::uint64_t expectedAccesses,
-                                  std::uint64_t expectedDistinctData) {
-  const auto scale = [&](std::uint64_t v) {
-    return exact_mode_ ? v
-                       : static_cast<std::uint64_t>(
-                             static_cast<double>(v) * rate_) +
-                             1;
-  };
-  exact_.reserve(scale(expectedAccesses),
-                 expectedDistinctData > 0 ? scale(expectedDistinctData) : 0);
-}
-
-SampledReuseSink::SampledReuseSink(std::int64_t granularity, double rate)
+ReuseDistanceSink::ReuseDistanceSink(std::int64_t granularity, double rate)
     : granularity_(granularity), tracker_(rate) {
   GCR_CHECK(granularity_ > 0, "granularity must be positive");
 }
 
-void SampledReuseSink::touch(std::int64_t addr) {
-  const std::uint64_t d = tracker_.access(addr / granularity_);
-  if (d == SampledReuseTracker::kNotSampled) return;
-  profile_.histogram.add(d, tracker_.countScale());
-}
-
-void SampledReuseSink::onInstr(int, std::span<const std::int64_t> reads,
-                               std::int64_t write) {
+void ReuseDistanceSink::onInstr(int, std::span<const std::int64_t> reads,
+                                std::int64_t write) {
   for (std::int64_t r : reads) touch(r);
   touch(write);
 }
 
-void SampledReuseSink::onBlock(const InstrBlock& b) {
+void ReuseDistanceSink::onBlock(const InstrBlock& b) {
+  // One dispatch per chunk; same flattening order as onInstr.
   for (std::size_t i = 0; i < b.size(); ++i) {
     for (std::int64_t r : b.reads(i)) touch(r);
     touch(b.writes[i]);
   }
 }
 
-void SampledReuseSink::reserve(std::uint64_t expectedAccesses,
-                               std::uint64_t expectedDistinctBytes) {
-  tracker_.reserve(expectedAccesses,
-                   static_cast<std::uint64_t>(expectedDistinctBytes) /
-                       static_cast<std::uint64_t>(granularity_));
+void ReuseDistanceSink::reserve(std::uint64_t dataBytes) {
+  tracker_.reserve(0, dataBytes / static_cast<std::uint64_t>(granularity_));
 }
 
-ReuseProfile SampledReuseSink::takeProfile() {
+ReuseProfile ReuseDistanceSink::takeProfile() {
   profile_.accesses = tracker_.accesses();
   profile_.distinctData = static_cast<std::uint64_t>(std::llround(
       static_cast<double>(tracker_.distinctSampled()) / tracker_.rate()));
   return std::move(profile_);
 }
 
-ReuseProfile profileAddressesSampled(const std::vector<std::int64_t>& addrs,
-                                     std::int64_t granularity, double rate) {
-  SampledReuseSink sink(granularity, rate);
-  sink.reserve(addrs.size());
+ReuseProfile profileAddresses(const std::vector<std::int64_t>& addrs,
+                              std::int64_t granularity, double rate) {
+  ReuseDistanceSink sink(granularity, rate);
   for (std::int64_t a : addrs) sink.onInstr(0, {}, a);
   return sink.takeProfile();
 }

@@ -1,9 +1,9 @@
-// Sampled reuse-distance analysis (SHARDS-style spatial hash sampling).
+// Sampled reuse-distance analysis (SHARDS-style spatial hash sampling), and
+// the one InstrSink adapter that builds a ReuseProfile at any sampling rate.
 //
-// Exact tracking costs O(log T) time per access and O(D) space for the
-// last-access map — the scaling limit for paper-sized inputs.  Spatial
-// sampling fixes both: a datum is *sampled* iff a hash of its address falls
-// under a threshold T_R = R * 2^64, so a rate-R tracker monitors an
+// Exact tracking pays for every access and holds state per distinct datum.
+// Spatial sampling cuts both: a datum is *sampled* iff a hash of its address
+// falls under a threshold T_R = R * 2^64, so a rate-R tracker monitors an
 // unbiased ~R fraction of all data and only pays for accesses to those.
 // Because the sampled data are a uniform random subset of all data, the
 // number of distinct *sampled* data between two accesses to a sampled datum
@@ -17,10 +17,13 @@
 // in tests/locality/sampled_reuse_test.cpp pin down.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "interp/trace.hpp"
 #include "locality/reuse_distance.hpp"
+#include "support/prng.hpp"
 
 namespace gcr {
 
@@ -37,9 +40,18 @@ class SampledReuseTracker {
   /// Process one access.  Returns the *scaled* reuse distance (measured
   /// distance times 1/rate), kCold for the first access to a sampled datum,
   /// or kNotSampled for data outside the sample.
-  std::uint64_t access(std::int64_t addr);
+  std::uint64_t access(std::int64_t addr) {
+    ++accesses_;
+    if (!isSampled(addr)) return kNotSampled;
+    const std::uint64_t d = exact_.access(addr);
+    if (exact_mode_ || d == kCold) return d;
+    return static_cast<std::uint64_t>(
+        std::llround(static_cast<double>(d) * inverseRate_));
+  }
 
-  bool isSampled(std::int64_t addr) const;
+  bool isSampled(std::int64_t addr) const {
+    return exact_mode_ || mix64(static_cast<std::uint64_t>(addr)) < threshold_;
+  }
 
   double rate() const { return rate_; }
   /// Histogram weight of one sampled access: round(1/rate).
@@ -49,10 +61,12 @@ class SampledReuseTracker {
   std::uint64_t sampledAccesses() const { return exact_.accesses(); }
   std::uint64_t distinctSampled() const { return exact_.distinctData(); }
 
-  /// Pre-size for the expected *total* trace; internal structures are sized
-  /// for the sampled fraction of it.
+  /// ReuseDistanceTracker::reserve: index [0, elementRange) densely (the
+  /// whole range — the sampled keys are spread over all of it).
   void reserve(std::uint64_t expectedAccesses,
-               std::uint64_t expectedDistinctData = 0);
+               std::uint64_t elementRange = 0) {
+    exact_.reserve(expectedAccesses, elementRange);
+  }
 
  private:
   double rate_;
@@ -64,35 +78,44 @@ class SampledReuseTracker {
   ReuseDistanceTracker exact_;  // over the sampled data only
 };
 
-/// InstrSink adapter mirroring ReuseDistanceSink: flattens instructions
-/// through a SampledReuseTracker and builds an *estimated* ReuseProfile —
-/// distances and histogram counts scaled by 1/rate, `accesses` the true
-/// total, `distinctData` the scaled estimate.  At rate 1 the profile equals
-/// the exact sink's output exactly.
-class SampledReuseSink final : public InstrSink {
+/// InstrSink adapter: flattens instructions (reads in order, then the write)
+/// through a SampledReuseTracker and builds a ReuseProfile.  Addresses are
+/// divided by `granularity` (pass the element size to measure element-level
+/// reuse, a cache-line size to measure block-level reuse).  At rate 1 (the
+/// default) the profile is exact; below it, distances and histogram counts
+/// are scaled by 1/rate, `accesses` is the true total and `distinctData`
+/// the scaled estimate.
+class ReuseDistanceSink final : public InstrSink {
  public:
-  explicit SampledReuseSink(std::int64_t granularity = 8, double rate = 1.0);
+  explicit ReuseDistanceSink(std::int64_t granularity = 8, double rate = 1.0);
 
   void onInstr(int stmtId, std::span<const std::int64_t> reads,
                std::int64_t write) override;
   void onBlock(const InstrBlock& b) override;
 
-  void reserve(std::uint64_t expectedAccesses,
-               std::uint64_t expectedDistinctBytes = 0);
+  /// Index the keys of the data footprint [0, dataBytes) densely — pass the
+  /// layout's totalBytes().  Call before the first instruction.
+  void reserve(std::uint64_t dataBytes);
 
-  const ReuseProfile& profile() const { return profile_; }
   ReuseProfile takeProfile();
 
  private:
-  void touch(std::int64_t addr);
+  void touch(std::int64_t addr) {
+    const std::uint64_t d = tracker_.access(addr / granularity_);
+    if (d != SampledReuseTracker::kNotSampled)
+      profile_.histogram.add(d, tracker_.countScale());
+  }
 
   std::int64_t granularity_;
   SampledReuseTracker tracker_;
   ReuseProfile profile_;
 };
 
-/// Sampled analogue of profileAddresses().
-ReuseProfile profileAddressesSampled(const std::vector<std::int64_t>& addrs,
-                                     std::int64_t granularity, double rate);
+/// Run a trace (already flattened to addresses) through the sink's tracker
+/// and build a profile; convenience for tests and the reuse-driven-execution
+/// study.
+ReuseProfile profileAddresses(const std::vector<std::int64_t>& addrs,
+                              std::int64_t granularity = 1,
+                              double rate = 1.0);
 
 }  // namespace gcr

@@ -296,13 +296,18 @@ std::int64_t layoutDims(
 
   std::int64_t rowUnit = 0;
   for (const auto& q : subs) {
-    for (ArrayId x : q) maps[static_cast<std::size_t>(x)].base += rowUnit;
-    rowUnit += layoutDims(q, d + 1, rank, extents, partitions, maps);
+    for (ArrayId x : q) {
+      std::int64_t& base = maps[static_cast<std::size_t>(x)].base;
+      base = checkedAdd(base, rowUnit, "layout size");
+    }
+    rowUnit = checkedAdd(
+        rowUnit, layoutDims(q, d + 1, rank, extents, partitions, maps),
+        "regrouped row size");
   }
   for (ArrayId x : part)
     maps[static_cast<std::size_t>(x)].strides[static_cast<std::size_t>(d)] =
         rowUnit;
-  return extent * rowUnit;
+  return checkedMul(extent, rowUnit, "regrouped block size");
 }
 
 }  // namespace
@@ -323,8 +328,13 @@ DataLayout Regrouping::layout(const Program& p, std::int64_t n) const {
   GCR_CHECK(!partitions_.empty(), "layout() before analyze()");
   for (const auto& part : partitions_[0]) {
     const int rank = p.arrays[static_cast<std::size_t>(part.front())].rank();
-    for (ArrayId x : part) maps[static_cast<std::size_t>(x)].base += cursor;
-    cursor += layoutDims(part, 0, rank, extents, partitions_, maps);
+    for (ArrayId x : part) {
+      std::int64_t& base = maps[static_cast<std::size_t>(x)].base;
+      base = checkedAdd(base, cursor, "layout size");
+    }
+    cursor = checkedAdd(
+        cursor, layoutDims(part, 0, rank, extents, partitions_, maps),
+        "layout size");
   }
   return DataLayout(std::move(maps), cursor);
 }

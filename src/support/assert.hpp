@@ -23,6 +23,27 @@ class Error : public std::runtime_error {
               cond + "` failed" + (msg.empty() ? "" : ": " + msg));
 }
 
+/// a * b, or gcr::Error when the product overflows T; `what` names the
+/// quantity in the message.
+template <typename T>
+T checkedMul(T a, T b, const char* what) {
+  T r;
+  if (__builtin_mul_overflow(a, b, &r))
+    throw Error(std::string(what) + " overflows " +
+                std::to_string(sizeof(T) * 8) + " bits");
+  return r;
+}
+
+/// a + b, or gcr::Error when the sum overflows T.
+template <typename T>
+T checkedAdd(T a, T b, const char* what) {
+  T r;
+  if (__builtin_add_overflow(a, b, &r))
+    throw Error(std::string(what) + " overflows " +
+                std::to_string(sizeof(T) * 8) + " bits");
+  return r;
+}
+
 }  // namespace gcr
 
 #define GCR_CHECK(cond, msg)                                      \

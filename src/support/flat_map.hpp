@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -49,8 +50,11 @@ class FlatMap64 {
   bool empty() const { return size_ == 0; }
 
   /// Pre-size so that `expected` keys fit without rehashing (load factor
-  /// stays under 0.7).  Never shrinks.
+  /// stays under 0.7).  Never shrinks.  Throws gcr::Error for a size whose
+  /// capacity the doubling below could not represent.
   void reserve(std::size_t expected) {
+    GCR_CHECK(expected <= kMaxReserve,
+              "FlatMap64 cannot hold " + std::to_string(expected) + " keys");
     std::size_t cap = capacity_;
     while ((expected + 1) * 10 > cap * 7) cap *= 2;
     if (cap > capacity_) rehash(cap);
@@ -70,6 +74,9 @@ class FlatMap64 {
 
  private:
   static constexpr std::size_t kInitialCap = 64;
+  // (kMaxReserve + 1) * 10 and the capacity reaching it stay far below
+  // 2^63, so neither the load test nor the doubling can wrap.
+  static constexpr std::size_t kMaxReserve = std::size_t{1} << 56;
 
   std::size_t probe(std::int64_t key) const {
     std::size_t i = static_cast<std::size_t>(

@@ -14,7 +14,7 @@
 #include "interp/interp.hpp"
 #include "interp/layout.hpp"
 #include "ir/builder.hpp"
-#include "locality/reuse_distance.hpp"
+#include "locality/sampled_reuse.hpp"
 
 namespace gcr {
 namespace {
@@ -22,6 +22,7 @@ namespace {
 ReuseProfile measuredProfile(const Program& p, std::int64_t n) {
   const DataLayout l = contiguousLayout(p, n);
   ReuseDistanceSink sink(8);  // element-level, matching the estimate
+  sink.reserve(static_cast<std::uint64_t>(l.totalBytes()));
   execute(p, l, {.n = n}, &sink);
   return sink.takeProfile();
 }

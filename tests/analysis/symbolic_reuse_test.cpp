@@ -16,7 +16,7 @@
 #include "interp/interp.hpp"
 #include "interp/layout.hpp"
 #include "ir/builder.hpp"
-#include "locality/reuse_distance.hpp"
+#include "locality/sampled_reuse.hpp"
 #include "numeric_reuse_referee.hpp"
 
 namespace gcr {
@@ -177,6 +177,7 @@ TEST(SymbolicReuse, AgreementWithDynamicProfileWithinGate) {
     const SymbolicEvaluation ev = evaluateSymbolicProfile(sym, n);
     const DataLayout l = contiguousLayout(p, n);
     ReuseDistanceSink sink(8);
+    sink.reserve(static_cast<std::uint64_t>(l.totalBytes()));
     execute(p, l, {.n = n}, &sink);
     const ReuseProfile measured = sink.takeProfile();
     const ProfileComparison c =

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/registry.hpp"
 #include "ir/builder.hpp"
+#include "ir/stats.hpp"
 
 namespace gcr {
 namespace {
@@ -69,6 +71,27 @@ TEST(Measure, TimeStepsScaleRefs) {
   Measurement one = measure(makeVersion(p, Strategy::NoOpt), 1024, MachineConfig::octane(), 1);
   Measurement three = measure(makeVersion(p, Strategy::NoOpt), 1024, MachineConfig::octane(), 3);
   EXPECT_EQ(three.counts.refs, 3 * one.counts.refs);
+}
+
+TEST(Measure, OverflowingProblemSizeIsAnErrorForEveryLayout) {
+  // SP at n = 3,000,000: its arrays' byte sizes overflow int64.  The
+  // contiguous, padded and regrouped layouts must refuse with gcr::Error
+  // instead of wrapping to a negative size, and so must a measurement or
+  // a profile at that size (the profile used to size its tracker from the
+  // wrapped reference count and never return).
+  const Program sp = apps::buildApp("SP");
+  constexpr std::int64_t kN = 3'000'000;
+  for (const Strategy s :
+       {Strategy::NoOpt, Strategy::SgiLike, Strategy::FusedRegrouped}) {
+    const ProgramVersion v = makeVersion(sp, s);
+    EXPECT_THROW(v.layoutAt(kN), Error) << v.name;
+    EXPECT_THROW(reuseProfileOf(v, kN), Error) << v.name;
+    EXPECT_THROW(measure(v, kN, MachineConfig::origin2000()), Error) << v.name;
+  }
+  EXPECT_THROW(estimateDynamicRefs(sp, kN), Error);
+  // A size that fits, run for more steps than 64 bits can count.
+  EXPECT_THROW(estimateDynamicRefs(sp, 8, std::uint64_t{1} << 62), Error);
+  EXPECT_GT(estimateDynamicRefs(sp, 8, 2), 0u);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "fusion/fusion.hpp"
 #include "interp/interp.hpp"
 #include "ir/builder.hpp"
-#include "locality/reuse_distance.hpp"
+#include "locality/sampled_reuse.hpp"
 
 namespace gcr {
 namespace {

@@ -7,7 +7,7 @@
 #include "ir/print.hpp"
 #include "ir/stats.hpp"
 #include "ir/validate.hpp"
-#include "locality/reuse_distance.hpp"
+#include "locality/sampled_reuse.hpp"
 
 namespace gcr {
 namespace {

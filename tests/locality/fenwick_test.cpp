@@ -1,11 +1,13 @@
-#include "locality/fenwick.hpp"
-
+// The referee's Fenwick tree (tests/locality/tracker_referee.hpp).
 #include <gtest/gtest.h>
 
+#include "locality/tracker_referee.hpp"
 #include "support/prng.hpp"
 
 namespace gcr {
 namespace {
+
+using testing::FenwickTree;
 
 TEST(Fenwick, BasicAddAndPrefix) {
   FenwickTree t;

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "locality/sampled_reuse.hpp"
+#include "locality/tracker_referee.hpp"
 #include "support/prng.hpp"
 
 namespace gcr {
 namespace {
+
+using testing::naiveReuseDistances;
 
 TEST(ReuseDistance, PaperFigure1Example) {
   // Figure 1(a): sequence a b c a a c b a with distances 2, 0, 1, 2 on the
@@ -67,14 +71,14 @@ void expectMatchesNaive(const std::vector<std::int64_t>& trace,
 }
 
 TEST(ReuseDistance, AdversarialAllSameAddress) {
-  // Every access after the first reuses at distance 0; the Fenwick tree
-  // holds exactly one live mark the whole time.
+  // Every access after the first reuses at distance 0; the tracker holds
+  // exactly one live mark the whole time, and compacts it again and again.
   expectMatchesNaive(std::vector<std::int64_t>(500, 7), "all-same");
 }
 
 TEST(ReuseDistance, AdversarialAllDistinct) {
   // No reuse at all: the mark count grows monotonically to the trace
-  // length (the worst case for the tree's grow/rebuild path).
+  // length (the worst case for the slots' grow/compact path).
   std::vector<std::int64_t> trace;
   for (std::int64_t i = 0; i < 600; ++i) trace.push_back(i * 3 - 100);
   expectMatchesNaive(trace, "all-distinct");

@@ -67,7 +67,7 @@ TEST(SampledReuse, Rate1IsBitIdenticalPerAccess) {
 TEST(SampledReuse, Rate1ProfileEqualsExactProfile) {
   const std::vector<std::int64_t> trace = layeredTrace(7, 20000, 4096);
   const ReuseProfile exact = profileAddresses(trace);
-  const ReuseProfile sampled = profileAddressesSampled(trace, 1, 1.0);
+  const ReuseProfile sampled = profileAddresses(trace, 1, 1.0);
   EXPECT_EQ(sampled.histogram.toCsv(), exact.histogram.toCsv());
   EXPECT_EQ(sampled.histogram.coldCount(), exact.histogram.coldCount());
   EXPECT_EQ(sampled.accesses, exact.accesses);
@@ -80,7 +80,7 @@ TEST(SampledReuse, WithinBoundOnLayeredTraces) {
   for (std::uint64_t seed : {11u, 23u, 42u}) {
     const std::vector<std::int64_t> trace = layeredTrace(seed, 400000, 65536);
     const ReuseProfile exact = profileAddresses(trace);
-    const ReuseProfile sampled = profileAddressesSampled(trace, 1, kRate64);
+    const ReuseProfile sampled = profileAddresses(trace, 1, kRate64);
     for (std::uint64_t cap : {1024ull, 8192ull, 65536ull}) {
       const double e = exact.missFractionAtCapacity(cap);
       const double s = sampled.missFractionAtCapacity(cap);
@@ -94,7 +94,7 @@ TEST(SampledReuse, WithinBoundAtCoarserRates) {
   const std::vector<std::int64_t> trace = layeredTrace(5, 150000, 8192);
   const ReuseProfile exact = profileAddresses(trace);
   for (double rate : {1.0 / 32.0, 1.0 / 16.0, 1.0 / 4.0}) {
-    const ReuseProfile sampled = profileAddressesSampled(trace, 1, rate);
+    const ReuseProfile sampled = profileAddresses(trace, 1, rate);
     for (std::uint64_t cap : {64ull, 1024ull, 8192ull}) {
       EXPECT_NEAR(sampled.missFractionAtCapacity(cap),
                   exact.missFractionAtCapacity(cap), kBound)
@@ -169,7 +169,7 @@ TEST(SampledReuse, ScaledDistancesLandInScaledBins) {
   std::vector<std::int64_t> trace;
   for (int pass = 0; pass < 2; ++pass)
     for (std::int64_t i = 0; i < kM; ++i) trace.push_back(i);
-  const ReuseProfile sampled = profileAddressesSampled(trace, 1, kRate64);
+  const ReuseProfile sampled = profileAddresses(trace, 1, kRate64);
   const int trueBin = Log2Histogram::binOf(kM - 1);
   std::uint64_t near = 0, far = 0;
   for (int b = 0; b <= Log2Histogram::kMaxBin; ++b) {

@@ -6,7 +6,7 @@
 
 #include "interp/interp.hpp"
 #include "ir/builder.hpp"
-#include "locality/reuse_distance.hpp"
+#include "locality/sampled_reuse.hpp"
 
 namespace gcr {
 namespace {

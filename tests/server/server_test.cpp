@@ -322,6 +322,39 @@ TEST(Server, OverflowingCacheGeometryIsBadRequestNotACrash) {
   EXPECT_GE(stats->server.requestsErrored, 3u);
 }
 
+TEST(Server, OverflowingProblemSizeIsBadRequestNotAHang) {
+  // SP at n = 3,000,000 overflows its layout's byte size.  Measure used to
+  // come back as EngineFailure and profile never came back at all (its
+  // tracker was sized from a wrapped reference count); both are bad
+  // requests, and the session and the daemon stay usable.
+  TestServer ts;
+  ASSERT_NE(ts.server, nullptr);
+  auto client = Client::connect(ts.socketPath, "t1");
+  ASSERT_NE(client, nullptr);
+  constexpr std::int64_t kN = 3'000'000;
+
+  MeasureRequest m;
+  m.spec.app = "SP";
+  m.spec.strategy = Strategy::NoOpt;
+  m.n = kN;
+  m.machine = MachineConfig::origin2000();
+  const Result<Measurement> r1 = client->measure(m);
+  ASSERT_FALSE(r1.ok());
+  EXPECT_EQ(r1.error, ErrorCode::BadRequest) << r1.message;
+
+  ProfileRequest p;
+  p.spec.app = "SP";
+  p.spec.strategy = Strategy::NoOpt;
+  p.n = kN;
+  const Result<ReuseProfile> r2 = client->profile(p);
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(r2.error, ErrorCode::BadRequest) << r2.message;
+
+  const Result<StatsReply> stats = client->stats();
+  ASSERT_TRUE(stats.ok()) << stats.message;
+  EXPECT_GE(stats->server.requestsErrored, 2u);
+}
+
 // --- admission control -----------------------------------------------------
 
 TEST(Server, PerTenantLimitZeroRejectsWithBusy) {

@@ -78,5 +78,16 @@ TEST(FlatMap64, ForEachVisitsAll) {
   EXPECT_EQ(keySum, 7 * (63 * 64) / 2);
 }
 
+TEST(FlatMap64, OversizeReserveIsRejectedNotALoop) {
+  // Sizes whose capacity doubling would wrap used to loop forever.
+  FlatMap64<std::uint32_t> m;
+  EXPECT_THROW(m.reserve(std::size_t{1300000000000000000}), Error);
+  EXPECT_THROW(m.reserve(std::size_t{1} << 62), Error);
+  EXPECT_THROW(m.reserve(~std::size_t{0}), Error);
+  m.reserve(1000);  // an ordinary size still works, and the map is intact
+  m[5] = 9;
+  EXPECT_EQ(*m.find(5), 9u);
+}
+
 }  // namespace
 }  // namespace gcr

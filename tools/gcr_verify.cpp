@@ -269,6 +269,7 @@ int runSymbolic(const std::vector<std::string>& names, const Options& o) {
       const DataLayout layout = contiguousLayout(p, n);
       const SymbolicEvaluation ev = evaluateSymbolicProfile(sym, n);
       ReuseDistanceSink sink(8);
+      sink.reserve(static_cast<std::uint64_t>(layout.totalBytes()));
       execute(p, layout, {.n = n}, &sink);
       const ReuseProfile measured = sink.takeProfile();
       const ProfileComparison c =
