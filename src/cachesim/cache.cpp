@@ -22,7 +22,16 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg) : cfg_(cfg) {
   setMask_ = sets - 1;
   ways_ = static_cast<std::size_t>(cfg_.ways);
   lineShift_ = std::countr_zero(static_cast<std::uint64_t>(cfg_.lineSize));
-  lines_.assign(static_cast<std::size_t>(sets) * ways_, Line{});
+  stamped_ = sets == 1 && cfg_.ways >= kStampedMinWays;
+  lines_.assign(static_cast<std::size_t>(sets) * ways_ + (stamped_ ? 1 : 0),
+                Line{});
+  if (stamped_) {
+    stamps_.assign(ways_ + 1, 0);
+    const std::size_t slots =
+        std::bit_ceil(std::max<std::size_t>(1024, 4 * ways_));
+    hint_.assign(slots, 0);
+    hintMask_ = static_cast<std::int64_t>(slots - 1);
+  }
 }
 
 void SetAssocCache::rejectNegative(std::int64_t addr) {
@@ -53,9 +62,56 @@ bool SetAssocCache::accessBeyondMru(Line* set, std::int64_t block,
   return false;
 }
 
+bool SetAssocCache::accessStampedScan(std::uint32_t& hint, std::int64_t block,
+                                      bool isWrite) {
+  const std::size_t w = findStamped(hint, block);
+  if (w != 0) {
+    Line& line = lines_[w];
+    stamps_[w] = ++clock_;
+    line.dirty = line.dirty || isWrite;
+    consumePrefetchMark(line);
+    return true;
+  }
+  ++stats_.misses;
+  lastHitWasPrefetched_ = false;
+  fillStamped(hint, Line{block, isWrite, false});
+  return false;
+}
+
+std::size_t SetAssocCache::findStamped(std::uint32_t& hint,
+                                       std::int64_t block) {
+  // Every fill points its block's slot at a way, so a slot still at 0 has
+  // never had a block that maps to it resident.
+  if (hint == 0) return 0;
+  for (std::size_t w = 1; w <= ways_; ++w)
+    if (lines_[w].tag == block) {
+      hint = static_cast<std::uint32_t>(w);
+      return w;
+    }
+  return 0;
+}
+
+void SetAssocCache::fillStamped(std::uint32_t& hint, const Line& line) {
+  // Empty ways carry stamp 0, below every used one, so the first minimum is
+  // the first empty way while there is one, else the LRU line.
+  const auto victim = std::min_element(stamps_.begin() + 1, stamps_.end());
+  const auto w = static_cast<std::size_t>(victim - stamps_.begin());
+  countWriteback(lines_[w]);
+  lines_[w] = line;
+  *victim = ++clock_;
+  hint = static_cast<std::uint32_t>(w);
+}
+
 void SetAssocCache::prefetch(std::int64_t addr) {
   if (addr < 0) rejectNegative(addr);
   const std::int64_t block = addr >> lineShift_;
+  if (stamped_) {
+    std::uint32_t& hint = hint_[static_cast<std::size_t>(block & hintMask_)];
+    if (findStamped(hint, block) != 0) return;  // already resident
+    ++stats_.prefetchFills;
+    fillStamped(hint, Line{block, false, true});
+    return;
+  }
   Line* set = setOf(block);
   for (std::size_t w = 0; w < ways_; ++w)
     if (set[w].tag == block) return;  // already resident; recency unchanged

@@ -6,13 +6,36 @@
 // page size) and the "perfect cache" of Section 2.1 (fully associative).
 // Policy: write-back, write-allocate.
 //
-// Each set is kept in recency order: way 0 holds the most recently used
-// line and the last way the LRU victim, with empty ways at the tail.  A set
-// is therefore the LRU stack of Section 2.1, cut at the associativity: a
-// lookup walks from the most recent line and stops at the line's stack
-// depth, so an access hits iff its reuse distance within the set is below
-// the way count.  The way-0 compare is inline; a deeper hit moves its line
-// to the front, and a miss shifts the set down one way and fills way 0.
+// The constructor picks one of two set representations from the geometry.
+// Both are exact LRU and agree access by access with the stamped-LRU
+// referee in tests/cachesim/stamped_cache.*.
+//
+//   * Recency-ordered sets: every geometry with more than one set, or with
+//     fewer than kStampedMinWays ways (L1, L2).  Way 0 holds the most
+//     recently used line and the last way the LRU victim, with empty ways
+//     at the tail.  A set is therefore the LRU stack of Section 2.1, cut at
+//     the associativity: a lookup walks from the most recent line and stops
+//     at the line's stack depth, so an access hits iff its reuse distance
+//     within the set is below the way count.  The way-0 compare is inline; a
+//     deeper hit moves its line to the front, and a miss shifts the set down
+//     one way and fills way 0.
+//   * Stamped ways: one set of at least kStampedMinWays ways (the TLB, the
+//     perfect cache).  A line stays in the way it was filled into and
+//     carries the clock value of its last use; a miss fills the first empty
+//     way, else the way with the oldest stamp.  A direct-mapped hint table,
+//     block -> way, of max(1024, 4 x ways) slots rounded up to a power of
+//     two sits in front of the ways.  A hint is always checked against the
+//     way's tag, so a hit through it is one inline compare at any depth;
+//     only a stale hint or a miss scans the tags, and a miss scans the
+//     stamps for its victim.  A slot that no fill has pointed anywhere
+//     proves a miss without the tag scan.  Many pages interleave in a TLB,
+//     so its hits sit deep in the recency order, where a recency-ordered
+//     set would walk to them.
+//
+// access() dispatches after the recency path's way-0 compare, which stays
+// the first test: for stamped ways setOf() returns an empty line that no
+// block matches, so L1 and L2 hits pay nothing for the second
+// representation (EXPERIMENTS.md has the placements measured).
 #pragma once
 
 #include <cstdint>
@@ -49,6 +72,10 @@ struct CacheStats {
 
 class SetAssocCache {
  public:
+  /// One set of at least this many ways uses stamped ways and the hint
+  /// table; every other geometry keeps recency-ordered sets.
+  static constexpr int kStampedMinWays = 16;
+
   explicit SetAssocCache(const CacheConfig& cfg);
 
   /// Simulate one reference; returns true on hit.  Addresses must be
@@ -58,7 +85,9 @@ class SetAssocCache {
     ++stats_.accesses;
     const std::int64_t block = addr >> lineShift_;
     Line* set = setOf(block);
-    if (set->tag != block) return accessBeyondMru(set, block, isWrite);
+    if (set->tag != block)
+      return stamped_ ? accessStamped(block, isWrite)
+                      : accessBeyondMru(set, block, isWrite);
     set->dirty = set->dirty || isWrite;
     consumePrefetchMark(*set);
     return true;
@@ -107,13 +136,43 @@ class SetAssocCache {
   /// The out-of-line part of access(): a hit below way 0 or a miss.
   bool accessBeyondMru(Line* set, std::int64_t block, bool isWrite);
 
-  std::vector<Line> lines_;  // numSets * ways, set-major, MRU first
+  /// access() on stamped ways, after setOf()'s empty line: the hinted
+  /// way's compare is inline.
+  bool accessStamped(std::int64_t block, bool isWrite) {
+    std::uint32_t& hint = hint_[static_cast<std::size_t>(block & hintMask_)];
+    Line& line = lines_[hint];
+    if (line.tag != block) return accessStampedScan(hint, block, isWrite);
+    stamps_[hint] = ++clock_;
+    line.dirty = line.dirty || isWrite;
+    consumePrefetchMark(line);
+    return true;
+  }
+  /// The out-of-line part of accessStamped(): a stale hint or a miss.
+  bool accessStampedScan(std::uint32_t& hint, std::int64_t block,
+                         bool isWrite);
+  /// The way holding `block`, found by a tag scan unless `hint` was never
+  /// set; re-points `hint` at it.  0 when the block is absent.
+  std::size_t findStamped(std::uint32_t& hint, std::int64_t block);
+  /// Fill `block` into the first empty way, else the least recently used
+  /// one, and point `hint` at it.
+  void fillStamped(std::uint32_t& hint, const Line& line);
+
+  // Recency-ordered: numSets * ways, set-major, MRU first.  Stamped: an
+  // empty line that setOf() returns and no block matches, then ways 1..ways.
+  std::vector<Line> lines_;
   std::int64_t setMask_ = 0;
   std::size_t ways_ = 0;
   int lineShift_ = 0;
   bool lastHitWasPrefetched_ = false;
   CacheStats stats_;
   CacheConfig cfg_;
+  // Stamped ways only.
+  bool stamped_ = false;
+  std::int64_t hintMask_ = 0;
+  std::uint64_t clock_ = 0;
+  std::vector<std::uint64_t> stamps_;  // per line; 0 marks an empty way
+  std::vector<std::uint32_t> hint_;    // block & hintMask_ -> way; 0 until
+                                       // a fill points it
 };
 
 /// Fully-associative-LRU TLB is a 1-set cache over page-granular addresses.

@@ -1,15 +1,18 @@
 #include "driver/measure.hpp"
 
-#include "interp/plan.hpp"
+#include "interp/schedule.hpp"
 #include "locality/sampled_reuse.hpp"
 
 namespace gcr {
 
 namespace {
 
+/// Measurements and profiles read addresses only, so a compiled plan runs
+/// through the address-only walker, whose one-core slice is the whole
+/// serial stream: no memory image, no value chain.
 void run(const Execution& e, InstrSink* sink) {
   if (e.plan != nullptr)
-    executePlan(*e.plan, e.opts, sink);
+    replaySlice(*e.plan, ScheduleSlice{}, sink);
   else
     execute(e.program, e.layout, e.opts, sink);
 }

@@ -5,9 +5,14 @@
 // the Engine's memoized path (engine/engine.hpp) share one assembly,
 // measureExecution()/profileExecution(): the Engine hands in its cached
 // compiled plan or its resolved execution engine, the free functions let
-// execute() choose.  Every field of a Measurement is a simulated result, so
-// one request always yields the same bytes (store/codec.hpp), whether it
-// was computed now, served from a cache, or read back from disk.
+// execute() choose.  The hierarchy and the reuse trackers read addresses
+// only, so a handed-in plan runs through the address-only plan walker
+// (replaySlice over the one-core slice, interp/schedule.hpp): no memory
+// image is allocated and no value is computed.  execute() and the free
+// functions still compute values; the address stream is the same either
+// way.  Every field of a Measurement is a simulated result, so one request
+// always yields the same bytes (store/codec.hpp), whether it was computed
+// now, served from a cache, or read back from disk.
 //
 // Batches (Engine::measureAll / Engine::submit, slot-per-task determinism
 // for any thread count) and the session knobs (threads, sampleRate) live on
@@ -76,9 +81,9 @@ struct ReuseTask {
   std::uint64_t timeSteps = 1;
 };
 
-/// One execution of a program at one size: `plan` when the caller holds a
-/// compiled plan for exactly (program, layout, opts.n, opts.timeSteps),
-/// else execute() under opts.engine.
+/// One execution of a program at one size: `plan`, address-only, when the
+/// caller holds a compiled plan for exactly (program, layout, opts.n,
+/// opts.timeSteps), else execute() under opts.engine.
 struct Execution {
   const Program& program;
   const DataLayout& layout;

@@ -30,7 +30,10 @@
 // One walker traverses a plan, in two instantiations: executePlan() runs it
 // with values (the memory image and the mix chain), and the schedule
 // replays of interp/schedule.hpp run it address-only over one core's slice
-// of every top-level loop.  Segment order, reversed loops, outer guards,
+// of every top-level loop.  Measurements and reuse profiles read addresses
+// only, so they run a plan as the one-core replay (driver/measure.cpp) and
+// build no memory image; values remain for execute(), gcrc and every
+// semantic-equivalence check.  Segment order, reversed loops, outer guards,
 // address recurrences and sink delivery are the same code in both.  The
 // walker emits instances into a structure-of-arrays chunk buffer and
 // delivers them to the sink via InstrSink::onBlock (one virtual call per ~4K

@@ -204,7 +204,19 @@ std::vector<std::uint32_t> reuseDrivenOrder(const InstrTrace& trace,
 Log2Histogram profileOrder(const InstrTrace& trace,
                            const std::vector<std::uint32_t>& order,
                            std::int64_t granularity) {
+  // Index the elements [0, largest] densely when that table is no larger
+  // than the trace: one entry per access at most.
+  std::int64_t largest = -1;
+  std::uint64_t accesses = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    for (std::int64_t a : trace.reads(i)) largest = std::max(largest, a);
+    largest = std::max(largest, trace.writeAddr(i));
+    accesses += trace.reads(i).size() + 1;
+  }
   ReuseDistanceTracker tracker;
+  if (largest >= 0 &&
+      static_cast<std::uint64_t>(largest / granularity) < accesses)
+    tracker.reserve(0, static_cast<std::uint64_t>(largest / granularity) + 1);
   Log2Histogram hist;
   for (std::uint32_t i : order) {
     for (std::int64_t a : trace.reads(i))

@@ -5,7 +5,9 @@
 // line sizes, seeded strided, windowed-random and beyond-capacity thrash
 // streams with mixed writes and interleaved prefetches must give the same
 // return value and lastHitWasPrefetched() on every access and the same
-// CacheStats throughout.
+// CacheStats throughout.  Single-set geometries of up to 2,048 ways (the
+// stamped ways with their hint table, cache.hpp) also run an aliasing
+// stream whose live blocks all share one hint slot.
 //
 // Programs: MemoryHierarchy must report the same MissCounts as a hierarchy
 // built from the referee on every registry app under four strategies, on
@@ -35,16 +37,23 @@ using testing::StampedHierarchy;
 
 // --- streams ---------------------------------------------------------------
 
-enum class StreamKind { Strided, WindowedRandom, Thrash };
+enum class StreamKind { Strided, WindowedRandom, Thrash, Aliasing };
 
 const char* streamName(StreamKind k) {
   switch (k) {
     case StreamKind::Strided: return "strided";
     case StreamKind::WindowedRandom: return "windowed-random";
     case StreamKind::Thrash: return "thrash";
+    case StreamKind::Aliasing: return "aliasing";
   }
   return "?";
 }
+
+/// Block stride of the aliasing stream: a multiple of every hint table of
+/// up to 2^16 slots (every geometry of up to 16,384 ways), so all of its
+/// blocks map to one hint slot, and to one set of any geometry of up to
+/// 2^16 sets.
+constexpr std::int64_t kAliasStride = std::int64_t{1} << 16;
 
 /// One step of a stream: a demand access, or a prefetch() call.
 struct Op {
@@ -55,7 +64,8 @@ struct Op {
 
 /// A seeded stream over `cfg`.  Addresses are 8-byte aligned and
 /// non-negative; about a third of the accesses write, and about one op in
-/// eight is a prefetch of the next line or of a random line.
+/// eight is a prefetch of the next line or of a random line (for the
+/// aliasing stream, a random one of its blocks).
 std::vector<Op> makeStream(StreamKind kind, const CacheConfig& cfg,
                            std::uint64_t seed) {
   SplitMix64 rng(seed);
@@ -87,6 +97,21 @@ std::vector<Op> makeStream(StreamKind kind, const CacheConfig& cfg,
       (wholeCache ? capacityLines : cfg.ways) + 1 + rng.nextInRange(0, 2);
   const std::int64_t cycleStride = wholeCache ? line : line * sets;
   const std::int64_t cycleSet = rng.nextInRange(0, sets - 1) * line;
+  // Aliasing: half to two and a half times as many blocks as ways, one
+  // kAliasStride apart, visited in turn or at random.  (Drawn for this kind
+  // only, so the other kinds' streams stay as they were.)
+  const bool aliasing = kind == StreamKind::Aliasing;
+  const std::int64_t aliasBase =
+      aliasing ? rng.nextInRange(0, kAliasStride - 1) : 0;
+  const std::int64_t aliasCount =
+      aliasing ? cfg.ways / 2 + 1 + rng.nextInRange(0, 2 * cfg.ways) : 1;
+  auto aliasBlock = [&](std::int64_t k) {
+    return (aliasBase + k * kAliasStride) * line;
+  };
+  auto randomLine = [&] {
+    return aliasing ? aliasBlock(rng.nextInRange(0, aliasCount - 1))
+                    : rng.nextInRange(0, spanLines - 1) * line;
+  };
 
   for (std::int64_t i = 0; i < len; ++i) {
     std::int64_t addr = 0;
@@ -107,12 +132,17 @@ std::vector<Op> makeStream(StreamKind kind, const CacheConfig& cfg,
         // Occasionally repeating the previous op's address keeps some hits.
         if (rng.nextBelow(8) == 0) addr = ops.empty() ? 0 : ops.back().addr;
         break;
+      case StreamKind::Aliasing:
+        addr = (rng.nextBelow(2) == 0
+                    ? aliasBlock(i % aliasCount)
+                    : aliasBlock(rng.nextInRange(0, aliasCount - 1))) +
+               offsetInLine();
+        break;
     }
     ops.push_back(Op{addr, rng.nextBelow(3) == 0, false});
     if (rng.nextBelow(8) == 0) {
       const std::int64_t target =
-          rng.nextBelow(2) == 0 ? addr + line
-                                : rng.nextInRange(0, spanLines - 1) * line;
+          rng.nextBelow(2) == 0 ? addr + line : randomLine();
       ops.push_back(Op{target, false, true});
     }
   }
@@ -192,6 +222,32 @@ INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
                          [](const ::testing::TestParamInfo<int>& info) {
                            return std::to_string(info.param) + "way";
                          });
+
+// One set of at least SetAssocCache::kStampedMinWays ways takes the stamped
+// ways and the hint table.  The grid above reaches them only with streams
+// of at most 2 x 128 + 3 blocks, fewer than the 1,024 hint slots, so no two
+// live blocks there ever share a slot.  These geometries run every stream
+// kind, the aliasing one included: the TLB (64 x 16 KB pages), a 2,048-way
+// element-grained perfect cache, and ways that are not powers of two.
+TEST(CacheDifferentialStamped, FullyAssociativeStreamsMatchStampedReferee) {
+  const struct {
+    int ways;
+    std::int64_t line;
+  } geometries[] = {{16, 64},   {64, 16384}, {128, 8},
+                    {300, 1024}, {1024, 64}, {2048, 8}};
+  std::uint64_t seed = 777000;
+  for (const auto& g : geometries) {
+    ASSERT_GE(g.ways, SetAssocCache::kStampedMinWays);
+    const CacheConfig cfg{g.ways * g.line, g.line, g.ways, "stamped"};
+    for (StreamKind kind : {StreamKind::Strided, StreamKind::WindowedRandom,
+                            StreamKind::Thrash, StreamKind::Aliasing}) {
+      const std::vector<Op> ops = makeStream(kind, cfg, ++seed);
+      EXPECT_TRUE(replayAgrees(cfg, ops))
+          << g.ways << "-way, 1 set, " << g.line << "B lines, "
+          << streamName(kind) << " stream, seed " << seed;
+    }
+  }
+}
 
 // --- whole programs ----------------------------------------------------------
 

@@ -14,6 +14,7 @@
 
 #include "apps/registry.hpp"
 #include "engine/engine.hpp"
+#include "interp/schedule_corpus.hpp"
 #include "store/codec.hpp"
 #include "support/env.hpp"
 
@@ -151,6 +152,35 @@ TEST(EngineConfig, ExplicitTreeWalkBypassesThePlanCache) {
   EXPECT_EQ(walk.stats().plan.misses, 0u);
   EXPECT_EQ(walk.stats().plan.entries, 0u);
   EXPECT_EQ(plan.stats().plan.misses, 2u);  // one plan per (n, timeSteps)
+}
+
+TEST(EngineConfig, TreeWalkMatchesTheAddressOnlyPlanOverTheCorpus) {
+  // A Plan session runs measurements and profiles through the address-only
+  // plan walker; a TreeWalk session computes values as well.  Over every
+  // evaluation app and corpus strategy at the schedule corpus's sizes, T=2,
+  // the two must encode the same bytes, on the paper's machine (whose TLB
+  // takes the stamped ways) and on it scaled down by 256 (a 4-entry
+  // recency-ordered TLB and a 128-byte L1).
+  EnvGuard unset("GCR_ENGINE", nullptr);
+  Engine walk(EngineConfig().withEngine(ExecEngine::TreeWalk).withCacheDir(""));
+  Engine plan(EngineConfig().withEngine(ExecEngine::Plan).withCacheDir(""));
+  const MachineConfig o2k = MachineConfig::origin2000();
+  int cases = 0;
+  testing::forEachRegistryCase([&](const testing::CorpusCase& c) {
+    const std::int64_t n = c.opts.n;
+    const std::uint64_t t = c.opts.timeSteps;
+    for (const MachineConfig& m : {o2k, o2k.scaledDown(256)})
+      EXPECT_EQ(store::encodeMeasurement(walk.measure(c.version, n, m, t)),
+                store::encodeMeasurement(plan.measure(c.version, n, m, t)))
+          << c.name << " on " << m.name;
+    EXPECT_EQ(store::encodeReuseProfile(walk.reuseProfile(c.version, n, t)),
+              store::encodeReuseProfile(plan.reuseProfile(c.version, n, t)))
+        << c.name;
+    ++cases;
+  });
+  EXPECT_EQ(cases, 20);
+  EXPECT_EQ(walk.stats().plan.entries, 0u);
+  EXPECT_GT(plan.stats().plan.misses, 0u);
 }
 
 TEST(EngineConfig, LiveEngineResolvesPrecedenceAtConstruction) {

@@ -11,6 +11,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -493,12 +494,23 @@ TEST(Server, TruncatedFrameDisconnectIsHandled) {
     const std::vector<std::uint8_t> bytes = encodeFrameHeader(h);
     ASSERT_TRUE(raw.sendBytes(bytes.data(), bytes.size()));
   }
-  // Both connections died mid-frame; the daemon must not care.
+  // Both connections died mid-frame; the daemon must not care.  Their
+  // sessions count the framing error on their own threads, which may run
+  // after the probe's request, so poll until it shows or 10 s pass.
   auto probe = Client::connect(ts.socketPath, "probe");
   ASSERT_NE(probe, nullptr);
-  const Result<StatsReply> stats = probe->stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats->server.framingErrors, 1u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::uint64_t framingErrors = 0;
+  for (;;) {
+    const Result<StatsReply> stats = probe->stats();
+    ASSERT_TRUE(stats.ok());
+    framingErrors = stats->server.framingErrors;
+    if (framingErrors >= 1 || std::chrono::steady_clock::now() >= deadline)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(framingErrors, 1u);
 }
 
 TEST(Server, UndecodablePayloadKeepsSessionOpen) {
