@@ -112,7 +112,7 @@ int main() {
       ReuseDistanceSink sink(8, kSampleRate);
       sink.reserve(static_cast<std::uint64_t>(layout.totalBytes()));
       execute(p, layout, {.n = n}, &sink);
-      (void)sink.takeProfile();
+      (void)sink.profile();
     }
     r.sampledSeconds = now() - t0;
     sampledSeconds += r.sampledSeconds;
@@ -123,7 +123,7 @@ int main() {
       ReuseDistanceSink sink(8);
       sink.reserve(static_cast<std::uint64_t>(layout.totalBytes()));
       execute(p, layout, {.n = sizes[i]}, &sink);
-      const ReuseProfile exact = sink.takeProfile();
+      const ReuseProfile exact = sink.profile();
       const ProfileComparison c =
           compareHistograms(evals[i].histogram, exact.histogram);
       errors.push_back(c.avgCdfError);

@@ -121,6 +121,29 @@ void SetAssocCache::prefetch(std::int64_t addr) {
   set[0] = Line{block, false, true};
 }
 
+std::vector<SetAssocCache::Line> SetAssocCache::stampedRecencyOrder() const {
+  std::vector<std::size_t> ways;
+  for (std::size_t w = 1; w <= ways_; ++w)
+    if (stamps_[w] != 0) ways.push_back(w);
+  std::sort(ways.begin(), ways.end(), [&](std::size_t a, std::size_t b) {
+    return stamps_[a] > stamps_[b];
+  });
+  std::vector<Line> order;
+  order.reserve(ways.size());
+  for (std::size_t w : ways) order.push_back(lines_[w]);
+  return order;
+}
+
+bool SetAssocCache::sameState(const SetAssocCache& other) const {
+  if (setMask_ != other.setMask_ || ways_ != other.ways_ ||
+      lineShift_ != other.lineShift_)
+    return false;
+  // Recency-ordered sets keep their empty ways at the tail, all alike, so
+  // equal arrays are equal states.
+  if (!stamped_) return lines_ == other.lines_;
+  return stampedRecencyOrder() == other.stampedRecencyOrder();
+}
+
 SetAssocCache makeTlb(int entries, std::int64_t pageSize,
                       const std::string& name) {
   GCR_CHECK(entries > 0 && pageSize > 0 &&

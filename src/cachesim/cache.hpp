@@ -36,6 +36,14 @@
 // the first test: for stamped ways setOf() returns an empty line that no
 // block matches, so L1 and L2 hits pay nothing for the second
 // representation (EXPERIMENTS.md has the placements measured).
+//
+// sameState() compares two caches' canonical state: what decides every
+// later hit, miss, writeback and prefetch hit.  For recency-ordered sets
+// that is each set's lines in order with their tag, dirty and prefetch
+// bits; for stamped ways the resident lines in stamp order, whichever ways
+// hold them.  Stats, the clock and the hint table only count or speed up,
+// and are left out.  Time-step extrapolation (driver/measure.hpp) stops a
+// simulation once the state after a step equals the state before it.
 #pragma once
 
 #include <cstdint>
@@ -109,11 +117,18 @@ class SetAssocCache {
   const CacheStats& stats() const { return stats_; }
   void resetStats() { stats_ = CacheStats{}; }
 
+  /// True when both caches have one geometry and the same canonical state
+  /// (above), so that any stream of accesses from here on counts the same
+  /// hits, misses, writebacks and prefetch hits in both.
+  bool sameState(const SetAssocCache& other) const;
+
  private:
   struct Line {
     std::int64_t tag = -1;  ///< block number; -1 marks an empty way
     bool dirty = false;
     bool prefetched = false;
+
+    bool operator==(const Line&) const = default;
   };
 
   Line* setOf(std::int64_t block) {
@@ -156,6 +171,8 @@ class SetAssocCache {
   /// Fill `block` into the first empty way, else the least recently used
   /// one, and point `hint` at it.
   void fillStamped(std::uint32_t& hint, const Line& line);
+  /// The resident stamped lines, most recently used first.
+  std::vector<Line> stampedRecencyOrder() const;
 
   // Recency-ordered: numSets * ways, set-major, MRU first.  Stamped: an
   // empty line that setOf() returns and no block matches, then ways 1..ways.

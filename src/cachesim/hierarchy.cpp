@@ -73,17 +73,49 @@ MissCounts MemoryHierarchy::counts() const {
   return m;
 }
 
+std::uint64_t MissCounts::memoryTrafficBytes(std::int64_t l2LineSize) const {
+  constexpr const char* kWhat = "memory traffic";
+  const std::uint64_t lines = checkedAdd(
+      checkedAdd(l2Misses, l2Prefetches, kWhat), l2Writebacks, kWhat);
+  return checkedMul(lines, static_cast<std::uint64_t>(l2LineSize), kWhat);
+}
+
+double MissCounts::effectiveBandwidthRatio(std::int64_t l2LineSize) const {
+  const std::uint64_t traffic = memoryTrafficBytes(l2LineSize);
+  if (traffic == 0) return 0.0;
+  return static_cast<double>(
+             checkedMul(refs, std::uint64_t{8}, "referenced bytes")) /
+         static_cast<double>(traffic);
+}
+
+MissCounts extrapolateSteps(const MissCounts& now, const MissCounts& before,
+                            std::uint64_t steps) {
+  constexpr const char* kWhat = "extrapolated miss count";
+  auto field = [&](std::uint64_t MissCounts::*f) {
+    return checkedExtrapolate(now.*f, before.*f, steps, kWhat);
+  };
+  MissCounts m;
+  m.refs = field(&MissCounts::refs);
+  m.l1Misses = field(&MissCounts::l1Misses);
+  m.l2Misses = field(&MissCounts::l2Misses);
+  m.tlbMisses = field(&MissCounts::tlbMisses);
+  m.l2Writebacks = field(&MissCounts::l2Writebacks);
+  m.l2Prefetches = field(&MissCounts::l2Prefetches);
+  m.l2PrefetchHits = field(&MissCounts::l2PrefetchHits);
+  return m;
+}
+
 std::uint64_t MemoryHierarchy::memoryTrafficBytes() const {
-  return (l2_.stats().misses + l2_.stats().prefetchFills +
-          l2_.stats().writebacks) *
-         static_cast<std::uint64_t>(cfg_.l2.lineSize);
+  return counts().memoryTrafficBytes(cfg_.l2.lineSize);
 }
 
 double MemoryHierarchy::effectiveBandwidthRatio() const {
-  const std::uint64_t traffic = memoryTrafficBytes();
-  if (traffic == 0) return 0.0;
-  return static_cast<double>(l1_.stats().accesses * 8) /
-         static_cast<double>(traffic);
+  return counts().effectiveBandwidthRatio(cfg_.l2.lineSize);
+}
+
+bool MemoryHierarchy::sameState(const MemoryHierarchy& other) const {
+  return tlb_.sameState(other.tlb_) && l1_.sameState(other.l1_) &&
+         l2_.sameState(other.l2_);
 }
 
 }  // namespace gcr

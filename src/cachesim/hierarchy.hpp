@@ -40,6 +40,8 @@ struct MissCounts {
   std::uint64_t l2Prefetches = 0;
   std::uint64_t l2PrefetchHits = 0;
 
+  bool operator==(const MissCounts&) const = default;
+
   double l1MissRate() const {
     return refs ? static_cast<double>(l1Misses) / static_cast<double>(refs)
                 : 0.0;
@@ -52,7 +54,26 @@ struct MissCounts {
     return refs ? static_cast<double>(tlbMisses) / static_cast<double>(refs)
                 : 0.0;
   }
+
+  /// Bytes transferred from/to memory in L2 lines of `l2LineSize` bytes:
+  /// demand fills, prefetch fills, and writebacks.  The quantity the
+  /// paper's strategy minimizes.  Throws gcr::Error when it overflows 64
+  /// bits.
+  std::uint64_t memoryTrafficBytes(std::int64_t l2LineSize) const;
+
+  /// Effective-bandwidth ratio: bytes the program actually referenced
+  /// divided by bytes the memory system moved.  1.0 means every transferred
+  /// byte was useful exactly once; higher means cache reuse amplified the
+  /// transfers; low values signal wasted bandwidth (the paper's Section 1
+  /// diagnosis).  0 when nothing moved.
+  double effectiveBandwidthRatio(std::int64_t l2LineSize) const;
 };
+
+/// `now` after `steps` more time steps that each add what the last one did
+/// (the counts went from `before` to `now` over it), field by field.
+/// Throws gcr::Error when a count overflows 64 bits.
+MissCounts extrapolateSteps(const MissCounts& now, const MissCounts& before,
+                            std::uint64_t steps);
 
 /// Latency cost model (cycles).  Deliberately simple and documented: one
 /// cycle per reference plus per-miss penalties.  Only *relative* times are
@@ -85,16 +106,15 @@ class MemoryHierarchy final : public InstrSink {
   MissCounts counts() const;
   const MachineConfig& config() const { return cfg_; }
 
-  /// Bytes transferred from/to memory: L2 demand fills, prefetch fills, and
-  /// writebacks.  The quantity the paper's strategy minimizes.
+  /// MissCounts::memoryTrafficBytes of counts().
   std::uint64_t memoryTrafficBytes() const;
-
-  /// Effective-bandwidth ratio: bytes the program actually referenced
-  /// divided by bytes the memory system moved.  1.0 means every transferred
-  /// byte was useful exactly once; higher means cache reuse amplified the
-  /// transfers; low values signal wasted bandwidth (the paper's Section 1
-  /// diagnosis).
+  /// MissCounts::effectiveBandwidthRatio of counts().
   double effectiveBandwidthRatio() const;
+
+  /// True when the TLB, L1 and L2 of both hierarchies, of one machine, are
+  /// each in the same state (SetAssocCache::sameState): from here on any
+  /// stream gives both the same counts.
+  bool sameState(const MemoryHierarchy& other) const;
 
  private:
   MachineConfig cfg_;

@@ -1,5 +1,8 @@
 #include "driver/measure.hpp"
 
+#include <functional>
+#include <optional>
+
 #include "interp/schedule.hpp"
 #include "locality/sampled_reuse.hpp"
 
@@ -9,12 +12,15 @@ namespace {
 
 /// Measurements and profiles read addresses only, so a compiled plan runs
 /// through the address-only walker, whose one-core slice is the whole
-/// serial stream: no memory image, no value chain.
-void run(const Execution& e, InstrSink* sink) {
+/// serial stream: no memory image, no value chain.  It runs one time step
+/// at a time until `repeats` (replayUntilRepeat); returns the steps left
+/// to extrapolate.  Without a plan, execute() runs every step.
+std::uint64_t run(const Execution& e, InstrSink* sink,
+                  const std::function<bool()>& repeats) {
   if (e.plan != nullptr)
-    replaySlice(*e.plan, ScheduleSlice{}, sink);
-  else
-    execute(e.program, e.layout, e.opts, sink);
+    return replayUntilRepeat(*e.plan, ScheduleSlice{}, sink, repeats);
+  execute(e.program, e.layout, e.opts, sink);
+  return 0;
 }
 
 }  // namespace
@@ -22,20 +28,35 @@ void run(const Execution& e, InstrSink* sink) {
 Measurement measureExecution(const Execution& e, const MachineConfig& machine,
                              const CostModel& cost) {
   MemoryHierarchy hierarchy(machine);
-  run(e, &hierarchy);
+  std::optional<MemoryHierarchy> previous;  // at the last step boundary
+  const std::uint64_t skipped = run(e, &hierarchy, [&] {
+    if (previous && hierarchy.sameState(*previous)) return true;
+    previous = hierarchy;
+    return false;
+  });
   Measurement m;
   m.counts = hierarchy.counts();
+  if (skipped > 0)
+    m.counts = extrapolateSteps(m.counts, previous->counts(), skipped);
   m.cycles = cost.cycles(m.counts);
-  m.memoryTrafficBytes = hierarchy.memoryTrafficBytes();
-  m.effectiveBandwidth = hierarchy.effectiveBandwidthRatio();
+  m.memoryTrafficBytes = m.counts.memoryTrafficBytes(machine.l2.lineSize);
+  m.effectiveBandwidth = m.counts.effectiveBandwidthRatio(machine.l2.lineSize);
   return m;
 }
 
 ReuseProfile profileExecution(const Execution& e, double sampleRate) {
   ReuseDistanceSink sink(8, sampleRate);
   sink.reserve(static_cast<std::uint64_t>(e.layout.totalBytes()));
-  run(e, &sink);
-  return sink.takeProfile();
+  std::optional<ReuseProfile> previous;  // at the last step boundary
+  const std::uint64_t skipped = run(e, &sink, [&] {
+    ReuseProfile now = sink.profile();
+    if (previous && trackerStateRepeats(*previous, now)) return true;
+    previous = std::move(now);
+    return false;
+  });
+  ReuseProfile p = sink.profile();
+  if (skipped > 0) p = extrapolateSteps(p, *previous, skipped);
+  return p;
 }
 
 Measurement measure(const ProgramVersion& version, std::int64_t n,
@@ -53,15 +74,6 @@ ReuseProfile reuseProfileOf(const ProgramVersion& version, std::int64_t n,
   return profileExecution(
       {version.program, layout, {.n = n, .timeSteps = timeSteps}},
       sampleRate);
-}
-
-void collectPairwise(const ProgramVersion& version, std::int64_t n,
-                     PairwiseReuseCollector& collector,
-                     std::uint64_t timeSteps) {
-  DataLayout layout = version.layoutAt(n);
-  collector.reserve(0, static_cast<std::uint64_t>(layout.totalBytes()));
-  execute(version.program, layout, {.n = n, .timeSteps = timeSteps},
-          &collector);
 }
 
 }  // namespace gcr

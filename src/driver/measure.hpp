@@ -7,10 +7,28 @@
 // compiled plan or its resolved execution engine, the free functions let
 // execute() choose.  The hierarchy and the reuse trackers read addresses
 // only, so a handed-in plan runs through the address-only plan walker
-// (replaySlice over the one-core slice, interp/schedule.hpp): no memory
-// image is allocated and no value is computed.  execute() and the free
-// functions still compute values; the address stream is the same either
-// way.  Every field of a Measurement is a simulated result, so one request
+// (the one-core slice, interp/schedule.hpp): no memory image is allocated
+// and no value is computed.  execute() and the free functions still
+// compute values; the address stream is the same either way.
+//
+// Time steps.  A handed-in plan runs one time step at a time
+// (replayUntilRepeat).  Every step replays the same address stream, and
+// the simulators are deterministic, so once a simulator's state after step
+// k equals its state after step k - 1, steps k + 1 .. T each add what step
+// k added: the counts become C_k + (T - k)(C_k - C_{k-1}), in checked
+// arithmetic (an overflow throws gcr::Error rather than wrapping).
+// Measurements compare the hierarchy's state (MemoryHierarchy::sameState)
+// and stop at the first repeat, after step 2 or, where prefetch marks take
+// a step to settle, later.  Profiles stop after step 2: the tracker's state
+// repeats from step 1 on (trackerStateRepeats), so the histogram is
+// H1 + (T - 1)(H2 - H1), `accesses` is T times one step's and
+// `distinctData` step 1's.  T <= 2 runs whole and takes no snapshot.  The
+// results are identical to a full T-step replay, which the tests keep as
+// the referee; execute() (the tree walker, the free functions) still runs
+// every step.  Traffic and effective bandwidth are priced from the
+// extrapolated MissCounts with the formulas the live hierarchy uses.
+//
+// Every field of a Measurement is a simulated result, so one request
 // always yields the same bytes (store/codec.hpp), whether it was computed
 // now, served from a cache, or read back from disk.
 //
@@ -27,7 +45,6 @@
 #include "cachesim/hierarchy.hpp"
 #include "driver/pipeline.hpp"
 #include "interp/interp.hpp"
-#include "locality/evadable.hpp"
 #include "locality/reuse_distance.hpp"
 
 namespace gcr {
@@ -91,18 +108,15 @@ struct Execution {
   const AccessPlan* plan = nullptr;
 };
 
-/// The one Measurement assembly: run `e` through `machine`'s hierarchy and
-/// price the counts with `cost`.
+/// The one Measurement assembly: run `e` through `machine`'s hierarchy
+/// (a plan until its state repeats, then extrapolated) and price the
+/// counts with `cost`.
 Measurement measureExecution(const Execution& e, const MachineConfig& machine,
                              const CostModel& cost);
 
 /// The one ReuseProfile assembly: the reuse sink at `sampleRate` (exact at
-/// rate 1), with the layout's elements indexed densely.
+/// rate 1), with the layout's elements indexed densely; a plan runs two
+/// time steps and extrapolates the rest.
 ReuseProfile profileExecution(const Execution& e, double sampleRate);
-
-/// Per-statement-pair reuse statistics (for evadable-reuse classification).
-void collectPairwise(const ProgramVersion& version, std::int64_t n,
-                     PairwiseReuseCollector& collector,
-                     std::uint64_t timeSteps = 1);
 
 }  // namespace gcr

@@ -1,6 +1,7 @@
 #include "interp/plan.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 
 #include "interp/schedule.hpp"
@@ -22,6 +23,12 @@ struct Range {
 
 Range intersect(Range a, Range b) {
   return {std::max(a.lo, b.lo), std::min(a.hi, b.hi)};
+}
+
+/// min(a * b, cap), without forming a product past the cap.
+std::uint64_t cappedProduct(std::uint64_t a, std::uint64_t b,
+                            std::uint64_t cap) {
+  return b != 0 && a > cap / b ? cap : std::min(a * b, cap);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,30 +290,40 @@ class PlanWalker {
     for (std::size_t i = 0; i < plan_.loops.size(); ++i)
       keep_[i].assign(plan_.loops[i].children.size(), 1);
     if (sink_ != nullptr) {
-      // Chunk buffers sized from the plan's exact dynamic counts (capped at
-      // one block plus the worst-case overshoot of a whole iteration).
-      const std::uint64_t totalInstrs = plan_.instrsPerStep * plan_.timeSteps;
-      const std::size_t instrCap =
-          static_cast<std::size_t>(std::min<std::uint64_t>(
-              totalInstrs, kBlockCapacity + plan_.stmts.size()));
-      bStmt_.reserve(instrCap);
-      bOff_.reserve(instrCap + 1);
-      bWrites_.reserve(instrCap);
-      const std::uint64_t totalReads = plan_.readsPerStep * plan_.timeSteps;
-      bPool_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-          totalReads, static_cast<std::uint64_t>(instrCap) *
-                          std::max<std::size_t>(plan_.maxReadsPerStmt, 1))));
+      // Chunk buffers sized from the plan's exact dynamic counts over the
+      // steps it runs, capped at one block plus the worst-case overshoot of
+      // a whole iteration.
+      const std::uint64_t instrCap =
+          cappedProduct(plan_.instrsPerStep, plan_.timeSteps,
+                        kBlockCapacity + plan_.stmts.size());
+      bStmt_.reserve(static_cast<std::size_t>(instrCap));
+      bOff_.reserve(static_cast<std::size_t>(instrCap + 1));
+      bWrites_.reserve(static_cast<std::size_t>(instrCap));
+      bPool_.reserve(static_cast<std::size_t>(cappedProduct(
+          plan_.readsPerStep, plan_.timeSteps,
+          instrCap * std::max<std::size_t>(plan_.maxReadsPerStmt, 1))));
     }
     bOff_.push_back(0);
   }
 
-  /// Every time step of the whole program; returns the instance count.
-  std::uint64_t run() {
-    for (std::uint64_t t = 0; t < plan_.timeSteps; ++t)
+  /// The time steps of the whole program, each delivered to the sink in
+  /// full before `repeats` (when given) is asked whether to stop there; it
+  /// is not asked after the last step.  Returns the steps run.
+  std::uint64_t run(const std::function<bool()>& repeats = nullptr) {
+    std::uint64_t steps = 0;
+    while (steps < plan_.timeSteps) {
       for (const PlanChild& c : plan_.top) runTop(c);
+      ++steps;
+      if (repeats && steps < plan_.timeSteps) {
+        flush();
+        if (repeats()) break;
+      }
+    }
     flush();
-    return instrs_;
+    return steps;
   }
+
+  std::uint64_t instrs() const { return instrs_; }
 
   /// One parallel region (a single top-level child, one time step).
   void runRegion(const PlanChild& c) {
@@ -573,8 +590,9 @@ ExecResult executePlan(const AccessPlan& plan, const ExecOptions& opts,
   result.memory.assign(static_cast<std::size_t>(plan.layout->totalBytes() / 8),
                        0);
   initializeMemory(*plan.program, *plan.layout, opts, result.memory);
-  result.instrCount =
-      PlanWalker<true>(plan, ScheduleSlice{}, sink, result.memory.data()).run();
+  PlanWalker<true> walker(plan, ScheduleSlice{}, sink, result.memory.data());
+  walker.run();
+  result.instrCount = walker.instrs();
   return result;
 }
 
@@ -584,11 +602,24 @@ const char* parallelScheduleName(ParallelSchedule s) {
 
 void replaySlice(const AccessPlan& plan, const ScheduleSlice& slice,
                  InstrSink* sink) {
+  replayUntilRepeat(plan, slice, sink, nullptr);
+}
+
+std::uint64_t replayUntilRepeat(const AccessPlan& plan,
+                                const ScheduleSlice& slice, InstrSink* sink,
+                                const std::function<bool()>& repeats) {
   GCR_CHECK(slice.cores >= 1, "schedule needs at least one core");
   GCR_CHECK(slice.core >= 0 && slice.core < slice.cores,
             "core index outside [0, cores)");
-  GCR_CHECK(sink != nullptr, "replaySlice needs a sink");
-  PlanWalker<false>(plan, slice, sink).run();
+  GCR_CHECK(sink != nullptr, "a slice replay needs a sink");
+  PlanWalker<false> walker(plan, slice, sink);
+  // Repeats are compared from step 2 on, so below three steps none can be
+  // skipped: run them all without asking.
+  if (plan.timeSteps <= 2) {
+    walker.run();
+    return 0;
+  }
+  return plan.timeSteps - walker.run(repeats);
 }
 
 void replayInterleaved(const AccessPlan& plan, int cores,

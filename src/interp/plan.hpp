@@ -37,7 +37,10 @@
 // address recurrences and sink delivery are the same code in both.  The
 // walker emits instances into a structure-of-arrays chunk buffer and
 // delivers them to the sink via InstrSink::onBlock (one virtual call per ~4K
-// instances) instead of once per instance.
+// instances) instead of once per instance.  It can stop at a time-step
+// boundary: every step emits the same stream, so a simulator whose state
+// repeats from one step to the next needs no more of them, and
+// replayUntilRepeat (interp/schedule.hpp) ends the replay there.
 #pragma once
 
 #include <memory>

@@ -25,7 +25,10 @@
 // executePlan's sink stream instruction for instruction by construction.
 // That one-core replay is how measurements and reuse profiles run a
 // compiled plan (driver/measure.cpp): their sinks read addresses only, and
-// values remain for execute().
+// values remain for execute().  They and the multicore analysis replay
+// through replayUntilRepeat(), which runs the time steps one at a time
+// and stops once the simulated state repeats, so a long run costs the
+// steps the caches and trackers take to settle, not T.
 // tests/interp/schedule_test.cpp pins that over every evaluation app and
 // five strategies and 100 fuzz programs, and schedule_referee_test.cpp
 // compares every slice with a referee walker that tests ownership one
@@ -38,6 +41,8 @@
 // small-n referee, not for full-size runs.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 
 #include "interp/plan.hpp"
@@ -61,6 +66,22 @@ struct ScheduleSlice {
 /// batched through InstrSink::onBlock like executePlan's.
 void replaySlice(const AccessPlan& plan, const ScheduleSlice& slice,
                  InstrSink* sink);
+
+/// replaySlice, one time step at a time, stopped once the sink's simulated
+/// state repeats.  Every step emits the same stream, so when a
+/// deterministic simulator's state after step k equals its state after
+/// step k - 1, each later step adds exactly what step k added.  After each
+/// step but the last, with the step delivered in full, `repeats()` returns
+/// whether the state equals the previous boundary's; when it does not, the
+/// caller records the state as the new boundary (after step 1 there is
+/// only a record to make).  The replay ends at the first step k for which
+/// it returns true.  Returns the steps left unreplayed, T - k, which the
+/// caller extrapolates from step k's counts; 0 when all T steps ran.  With
+/// T <= 2 no step could be skipped, so the whole replay runs and `repeats`
+/// is never called.
+std::uint64_t replayUntilRepeat(const AccessPlan& plan,
+                                const ScheduleSlice& slice, InstrSink* sink,
+                                const std::function<bool()>& repeats);
 
 /// Emit the exact interleaved `cores`-core stream: per parallel region the
 /// per-core sub-streams merge round-robin one statement instance at a time

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "locality/sampled_reuse.hpp"
 #include "support/assert.hpp"
@@ -33,13 +34,37 @@ class PrivateLevelsSink final : public InstrSink {
     }
   }
 
-  const CacheStats& l1Stats() const { return l1_.stats(); }
-  const CacheStats& l2Stats() const { return l2_.stats(); }
+  /// The private-level fields of CoreCacheStats.
+  CoreCacheStats stats() const {
+    CoreCacheStats s;
+    s.refs = l1_.stats().accesses;
+    s.l1Misses = l1_.stats().misses;
+    s.l2Misses = l2_.stats().misses;
+    s.l2Writebacks = l2_.stats().writebacks;
+    return s;
+  }
+  bool sameState(const PrivateLevelsSink& other) const {
+    return l1_.sameState(other.l1_) && l2_.sameState(other.l2_);
+  }
 
  private:
   SetAssocCache l1_;
   SetAssocCache l2_;
 };
+
+/// extrapolateSteps for the private-level fields of CoreCacheStats.
+CoreCacheStats extrapolateSteps(const CoreCacheStats& now,
+                                const CoreCacheStats& before,
+                                std::uint64_t steps) {
+  constexpr const char* kWhat = "extrapolated per-core count";
+  CoreCacheStats s;
+  s.refs = checkedExtrapolate(now.refs, before.refs, steps, kWhat);
+  s.l1Misses = checkedExtrapolate(now.l1Misses, before.l1Misses, steps, kWhat);
+  s.l2Misses = checkedExtrapolate(now.l2Misses, before.l2Misses, steps, kWhat);
+  s.l2Writebacks =
+      checkedExtrapolate(now.l2Writebacks, before.l2Writebacks, steps, kWhat);
+  return s;
+}
 
 }  // namespace
 
@@ -73,45 +98,64 @@ MulticoreProfile analyzeMulticore(const AccessPlan& plan,
   const int cores = topo.cores;
   const auto dataBytes = static_cast<std::uint64_t>(plan.layout->totalBytes());
 
-  struct CoreOut {
-    CoreCacheStats stats;
-    ReuseProfile lines;
-  };
-  std::vector<CoreOut> outs(static_cast<std::size_t>(cores));
+  std::vector<CoreCacheStats> perCore(static_cast<std::size_t>(cores));
+  std::vector<Log2Histogram> lineHistograms(perCore.size());
   auto runCore = [&](std::size_t c) {
     PrivateLevelsSink priv(topo.l1, topo.l2);
     ReuseDistanceSink lines(topo.llc.lineSize);
     lines.reserve(dataBytes);
     TeeSink tee({&priv, &lines});
-    replaySlice(plan, {cores, static_cast<int>(c), topo.schedule}, &tee);
-    CoreOut& o = outs[c];
-    o.stats.refs = priv.l1Stats().accesses;
-    o.stats.l1Misses = priv.l1Stats().misses;
-    o.stats.l2Misses = priv.l2Stats().misses;
-    o.stats.l2Writebacks = priv.l2Stats().writebacks;
-    o.lines = lines.takeProfile();
-    o.stats.lineAccesses = o.lines.accesses;
-    o.stats.coldLines = o.lines.distinctData;
+    // Both simulators at the last step boundary: the core's replay stops
+    // once both repeat, and the rest is extrapolated from its last step.
+    std::optional<PrivateLevelsSink> privBefore;
+    ReuseProfile linesBefore;
+    const std::uint64_t skipped = replayUntilRepeat(
+        plan, {cores, static_cast<int>(c), topo.schedule}, &tee, [&] {
+          ReuseProfile now = lines.profile();
+          if (privBefore && priv.sameState(*privBefore) &&
+              trackerStateRepeats(linesBefore, now))
+            return true;
+          privBefore = priv;
+          linesBefore = std::move(now);
+          return false;
+        });
+    CoreCacheStats stats = priv.stats();
+    ReuseProfile profile = lines.profile();
+    if (skipped > 0) {
+      stats = extrapolateSteps(stats, privBefore->stats(), skipped);
+      profile = extrapolateSteps(profile, linesBefore, skipped);
+    }
+    stats.lineAccesses = profile.accesses;
+    stats.coldLines = profile.distinctData;
+    perCore[c] = stats;
+    lineHistograms[c] = std::move(profile.histogram);
   };
   // Slot-per-core on the pool: cores share nothing, so results are
   // bit-identical for any thread count (PR 1's discipline).
   if (pool != nullptr && cores > 1) {
-    pool->parallelFor(static_cast<std::size_t>(cores), runCore);
+    pool->parallelFor(perCore.size(), runCore);
   } else {
-    for (std::size_t c = 0; c < outs.size(); ++c) runCore(c);
+    for (std::size_t c = 0; c < perCore.size(); ++c) runCore(c);
   }
+  return composeMulticore(std::move(perCore), lineHistograms, topo, cost);
+}
 
+MulticoreProfile composeMulticore(std::vector<CoreCacheStats> perCore,
+                                  const std::vector<Log2Histogram>& lines,
+                                  const CacheTopology& topo,
+                                  const MulticoreCostModel& cost) {
+  GCR_CHECK(lines.size() == perCore.size(),
+            "one line histogram per core needed");
   MulticoreProfile mp;
-  mp.cores = cores;
+  mp.cores = topo.cores;
   mp.schedule = topo.schedule;
   mp.llcCapacityLines = static_cast<std::uint64_t>(topo.llcCapacityLines());
-  mp.perCore.reserve(outs.size());
-  for (const CoreOut& o : outs) {
-    mp.perCore.push_back(o.stats);
-    mp.shared.merge(scaleReuseDistances(o.lines.histogram, cores));
-    mp.sharedAccesses += o.lines.accesses;
-    mp.sharedColdLines += o.stats.coldLines;
+  for (std::size_t c = 0; c < perCore.size(); ++c) {
+    mp.shared.merge(scaleReuseDistances(lines[c], topo.cores));
+    mp.sharedAccesses += perCore[c].lineAccesses;
+    mp.sharedColdLines += perCore[c].coldLines;
   }
+  mp.perCore = std::move(perCore);
   const std::uint64_t finite = mp.shared.totalFinite();
   mp.llcMissFraction =
       finite > 0 ? static_cast<double>(
@@ -132,7 +176,7 @@ ReuseProfile interleavedSharedProfile(const AccessPlan& plan,
   ReuseDistanceSink sink(topo.llc.lineSize);
   sink.reserve(static_cast<std::uint64_t>(plan.layout->totalBytes()));
   replayInterleaved(plan, topo.cores, topo.schedule, &sink);
-  return sink.takeProfile();
+  return sink.profile();
 }
 
 }  // namespace gcr

@@ -7,7 +7,11 @@
 //      and simulates each core's PRIVATE L1+L2 exactly — one independent
 //      SetAssocCache pair per core, so the per-core simulations run
 //      concurrently on the deterministic thread pool with bit-identical
-//      results for any thread count;
+//      results for any thread count.  Each core replays one time step at a
+//      time (replayUntilRepeat) until both its private levels and its line
+//      tracker (step 2) repeat their state, and its counts for the
+//      remaining steps are extrapolated from the last one, exactly as a
+//      full replay would count them (driver/measure.hpp);
 //
 //   2. predicts the SHARED LLC by reuse-distance composition: each core's
 //      slice stream is profiled at LLC-line granularity, and under the
@@ -95,6 +99,14 @@ MulticoreProfile analyzeMulticore(const AccessPlan& plan,
                                   const CacheTopology& topo,
                                   const MulticoreCostModel& cost = {},
                                   ThreadPool* pool = nullptr);
+
+/// analyzeMulticore's last stage: the artifact from each core's exact
+/// private-level stats and line-granularity reuse histogram (one of each
+/// per core).  Exposed for the full-replay referee in the tests.
+MulticoreProfile composeMulticore(std::vector<CoreCacheStats> perCore,
+                                  const std::vector<Log2Histogram>& lines,
+                                  const CacheTopology& topo,
+                                  const MulticoreCostModel& cost);
 
 /// Exact referee: the measured shared-LLC reuse profile of the true
 /// interleaved trace (materializes per-region streams — small-n only).

@@ -72,4 +72,28 @@ ReuseProfile mergeProfiles(std::span<const ReuseProfile> parts) {
   return total;
 }
 
+ReuseProfile extrapolateSteps(const ReuseProfile& now,
+                              const ReuseProfile& before,
+                              std::uint64_t steps) {
+  constexpr const char* kWhat = "extrapolated reuse-profile count";
+  ReuseProfile p;
+  p.histogram.add(Log2Histogram::kCold,
+                  checkedExtrapolate(now.histogram.coldCount(),
+                                     before.histogram.coldCount(), steps,
+                                     kWhat));
+  for (int b = 0; b <= now.histogram.highestNonEmptyBin(); ++b)
+    if (const std::uint64_t count =
+            checkedExtrapolate(now.histogram.binCount(b),
+                               before.histogram.binCount(b), steps, kWhat))
+      p.histogram.add(Log2Histogram::binLow(b), count);
+  p.accesses = checkedExtrapolate(now.accesses, before.accesses, steps, kWhat);
+  p.distinctData =
+      checkedExtrapolate(now.distinctData, before.distinctData, steps, kWhat);
+  return p;
+}
+
+bool trackerStateRepeats(const ReuseProfile& before, const ReuseProfile& now) {
+  return now.histogram.coldCount() == before.histogram.coldCount();
+}
+
 }  // namespace gcr

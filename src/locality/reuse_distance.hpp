@@ -179,4 +179,22 @@ struct ReuseProfile {
 /// the tasks' address spaces may overlap.
 ReuseProfile mergeProfiles(std::span<const ReuseProfile> parts);
 
+/// `now` after `steps` more time steps that each add what the last one did
+/// (the profile went from `before` to `now` over it): the histogram,
+/// `accesses` and `distinctData` become now + steps * (now - before).
+/// Throws gcr::Error when a count overflows 64 bits.
+ReuseProfile extrapolateSteps(const ReuseProfile& now,
+                              const ReuseProfile& before,
+                              std::uint64_t steps);
+
+/// Whether a tracker replaying a plan's time steps (interp/schedule.hpp,
+/// replayUntilRepeat) is back in the state it had one step earlier, judged
+/// from its profiles at the two boundaries.  Its state is the recency order
+/// of the data it has seen.  Every step emits the same stream, so after
+/// any step k >= 2 that order is the stream's order of last touches, as it
+/// was after step k - 1.  The premise is checked, not assumed: a step that
+/// touches a datum for the first time did not replay step 1's stream, and
+/// does not count as a repeat.
+bool trackerStateRepeats(const ReuseProfile& before, const ReuseProfile& now);
+
 }  // namespace gcr

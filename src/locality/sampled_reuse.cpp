@@ -40,18 +40,20 @@ void ReuseDistanceSink::reserve(std::uint64_t dataBytes) {
   tracker_.reserve(0, dataBytes / static_cast<std::uint64_t>(granularity_));
 }
 
-ReuseProfile ReuseDistanceSink::takeProfile() {
-  profile_.accesses = tracker_.accesses();
-  profile_.distinctData = static_cast<std::uint64_t>(std::llround(
+ReuseProfile ReuseDistanceSink::profile() const {
+  ReuseProfile p;
+  p.histogram = histogram_;
+  p.accesses = tracker_.accesses();
+  p.distinctData = static_cast<std::uint64_t>(std::llround(
       static_cast<double>(tracker_.distinctSampled()) / tracker_.rate()));
-  return std::move(profile_);
+  return p;
 }
 
 ReuseProfile profileAddresses(const std::vector<std::int64_t>& addrs,
                               std::int64_t granularity, double rate) {
   ReuseDistanceSink sink(granularity, rate);
   for (std::int64_t a : addrs) sink.onInstr(0, {}, a);
-  return sink.takeProfile();
+  return sink.profile();
 }
 
 }  // namespace gcr

@@ -97,18 +97,20 @@ class ReuseDistanceSink final : public InstrSink {
   /// layout's totalBytes().  Call before the first instruction.
   void reserve(std::uint64_t dataBytes);
 
-  ReuseProfile takeProfile();
+  /// The profile of the accesses so far: at the end of a run, or at a
+  /// time-step boundary with more to come.
+  ReuseProfile profile() const;
 
  private:
   void touch(std::int64_t addr) {
     const std::uint64_t d = tracker_.access(addr / granularity_);
     if (d != SampledReuseTracker::kNotSampled)
-      profile_.histogram.add(d, tracker_.countScale());
+      histogram_.add(d, tracker_.countScale());
   }
 
   std::int64_t granularity_;
   SampledReuseTracker tracker_;
-  ReuseProfile profile_;
+  Log2Histogram histogram_;
 };
 
 /// Run a trace (already flattened to addresses) through the sink's tracker

@@ -44,6 +44,16 @@ T checkedAdd(T a, T b, const char* what) {
   return r;
 }
 
+/// now + steps * (now - before), or gcr::Error when that overflows T: a
+/// count that went from `before` to `now` over one time step, after `steps`
+/// more steps that each add the same.  Counts only grow: before <= now.
+template <typename T>
+T checkedExtrapolate(T now, T before, T steps, const char* what) {
+  if (before > now)
+    throw Error(std::string(what) + " fell over a time step");
+  return checkedAdd(now, checkedMul(steps, now - before, what), what);
+}
+
 }  // namespace gcr
 
 #define GCR_CHECK(cond, msg)                                      \

@@ -24,7 +24,7 @@ ReuseProfile measuredProfile(const Program& p, std::int64_t n) {
   ReuseDistanceSink sink(8);  // element-level, matching the estimate
   sink.reserve(static_cast<std::uint64_t>(l.totalBytes()));
   execute(p, l, {.n = n}, &sink);
-  return sink.takeProfile();
+  return sink.profile();
 }
 
 double evadableFraction(const SymbolicEvaluation& ev) {

@@ -179,7 +179,7 @@ TEST(SymbolicReuse, AgreementWithDynamicProfileWithinGate) {
     ReuseDistanceSink sink(8);
     sink.reserve(static_cast<std::uint64_t>(l.totalBytes()));
     execute(p, l, {.n = n}, &sink);
-    const ReuseProfile measured = sink.takeProfile();
+    const ReuseProfile measured = sink.profile();
     const ProfileComparison c =
         compareHistograms(ev.histogram, measured.histogram);
     EXPECT_LT(c.avgCdfError, 0.25) << app.name;

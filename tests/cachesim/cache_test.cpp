@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "locality/reuse_distance.hpp"
 #include "support/prng.hpp"
 
@@ -137,6 +139,74 @@ TEST(Cache, PerfectCacheMatchesReuseDistance) {
     EXPECT_EQ(hit, expectHit) << "access " << i << " elem " << elem
                               << " dist " << dist;
   }
+}
+
+// --- state equality (time-step extrapolation, driver/measure.hpp) ----------
+
+/// Both set representations: recency-ordered sets (a 2-way L1) and
+/// stamped ways (a 64-entry TLB).
+std::vector<SetAssocCache> bothRepresentations() {
+  return {tiny(2, 8), makeTlb(64, 32)};
+}
+
+TEST(CacheState, OneDirtyBitMakesADifferentState) {
+  for (const SetAssocCache& fresh : bothRepresentations()) {
+    SetAssocCache a = fresh, b = fresh;
+    for (std::int64_t addr : {0, 128, 64}) {
+      a.access(addr, false);
+      b.access(addr, addr == 64);
+    }
+    EXPECT_FALSE(a.sameState(b)) << fresh.config().name;
+    a.access(64, true);  // the most recent line, now dirty in both
+    EXPECT_TRUE(a.sameState(b)) << fresh.config().name;
+  }
+}
+
+TEST(CacheState, OnePrefetchMarkMakesADifferentState) {
+  for (const SetAssocCache& fresh : bothRepresentations()) {
+    SetAssocCache a = fresh, b = fresh;
+    for (SetAssocCache* c : {&a, &b}) {
+      c->access(0, false);
+      c->prefetch(64);
+    }
+    b.access(64, false);  // a demand hit consumes b's mark only
+    EXPECT_FALSE(a.sameState(b)) << fresh.config().name;
+  }
+}
+
+TEST(CacheState, RecencyOrderIsState) {
+  for (const SetAssocCache& fresh : bothRepresentations()) {
+    SetAssocCache a = fresh, b = fresh;
+    // Blocks 0 and 8 share a set of the 2-way cache.
+    a.access(0, false);
+    a.access(8 * 32, false);
+    b.access(8 * 32, false);
+    b.access(0, false);
+    EXPECT_FALSE(a.sameState(b)) << fresh.config().name;
+  }
+}
+
+TEST(CacheState, TlbWayPlacementIsNotState) {
+  // Pages 1 and 2, page 1 more recent, in different ways: a fills page 1
+  // first, b fills page 2 first.  Clocks, hints and stats differ too.
+  SetAssocCache a = makeTlb(64, 32), b = makeTlb(64, 32);
+  for (std::int64_t page : {1, 2, 1}) a.access(page * 32, false);
+  for (std::int64_t page : {2, 1}) b.access(page * 32, false);
+  EXPECT_TRUE(a.sameState(b));
+  // Equal states count any stream alike, and stay equal.
+  for (std::int64_t page = 0; page < 240; page += 3) {
+    EXPECT_EQ(a.access(page * 32, page % 2 == 0),
+              b.access(page * 32, page % 2 == 0));
+    EXPECT_TRUE(a.sameState(b));
+  }
+  EXPECT_EQ(a.stats().misses, b.stats().misses);
+  EXPECT_EQ(a.stats().writebacks, b.stats().writebacks);
+}
+
+TEST(CacheState, GeometriesDiffer) {
+  EXPECT_FALSE(tiny(2, 8).sameState(tiny(2, 16)));
+  EXPECT_FALSE(makeTlb(64, 32).sameState(makeTlb(32, 32)));
+  EXPECT_TRUE(makeTlb(64, 32).sameState(makeTlb(64, 32)));
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ std::uint64_t maxReuseDistance(const Program& p, std::int64_t n) {
   DataLayout l = contiguousLayout(p, n);
   ReuseDistanceSink sink(8);
   execute(p, l, {.n = n}, &sink);
-  const ReuseProfile prof = sink.takeProfile();
+  const ReuseProfile prof = sink.profile();
   const int top = prof.histogram.highestNonEmptyBin();
   return top < 0 ? 0 : (std::uint64_t{1} << top);  // bin upper edge
 }
@@ -71,7 +71,7 @@ std::uint64_t longReuses(const Program& p, std::int64_t n,
   DataLayout l = contiguousLayout(p, n);
   ReuseDistanceSink sink(8);
   execute(p, l, {.n = n}, &sink);
-  return sink.takeProfile().histogram.countAtLeast(threshold);
+  return sink.profile().histogram.countAtLeast(threshold);
 }
 
 class FusionBoundProperty : public ::testing::TestWithParam<std::uint64_t> {};

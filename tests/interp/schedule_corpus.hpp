@@ -2,8 +2,8 @@
 // (schedule_test.cpp, schedule_referee_test.cpp): every evaluation app under
 // five strategies, and random programs with 2-D nests and reversed loops,
 // both as generated and after fusion + regrouping (the guard-heavy case).
-// Every case is compiled at an odd n with two time steps, small enough that
-// 64 cores exceed every loop's trip count.
+// Every case is compiled at an odd n with two time steps unless it asks for
+// more, small enough that 64 cores exceed every loop's trip count.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -34,11 +34,12 @@ struct CorpusCase {
   ExecOptions opts;
   PlanCompileResult compiled;
 
-  CorpusCase(std::string caseName, ProgramVersion v, std::int64_t n)
+  CorpusCase(std::string caseName, ProgramVersion v, std::int64_t n,
+             std::uint64_t timeSteps = 2)
       : name(std::move(caseName)),
         version(std::move(v)),
         layout(version.layoutAt(n)),
-        opts{.n = n, .timeSteps = 2},
+        opts{.n = n, .timeSteps = timeSteps},
         compiled(compilePlan(version.program, layout, opts)) {}
   CorpusCase(const CorpusCase&) = delete;
   CorpusCase& operator=(const CorpusCase&) = delete;

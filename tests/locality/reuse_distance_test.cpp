@@ -130,7 +130,7 @@ TEST(ReuseDistanceSink, GranularityGroupsNeighbors) {
   ReuseDistanceSink sink(32);
   const std::int64_t reads[] = {0, 8, 16, 24};
   sink.onInstr(0, reads, 32);
-  ReuseProfile prof = sink.takeProfile();
+  ReuseProfile prof = sink.profile();
   // Accesses: blocks 0,0,0,0,1 → three reuses at distance 0, two cold.
   EXPECT_EQ(prof.histogram.binCount(0), 3u);
   EXPECT_EQ(prof.histogram.coldCount(), 2u);

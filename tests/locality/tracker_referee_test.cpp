@@ -236,7 +236,7 @@ TEST(TrackerReferee, ProfileSinkMatchesRefereeHistogram) {
     KeyStream s(8);
     TeeSink tee({&sink, &s});
     executePlan(c.plan(), c.opts, &tee);
-    const ReuseProfile got = sink.takeProfile();
+    const ReuseProfile got = sink.profile();
     testing::ReuseDistanceTracker ref;
     Log2Histogram want;
     for (const std::int64_t k : s.keys) want.add(ref.access(k));

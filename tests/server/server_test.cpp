@@ -356,6 +356,39 @@ TEST(Server, OverflowingProblemSizeIsBadRequestNotAHang) {
   EXPECT_GE(stats->server.requestsErrored, 2u);
 }
 
+TEST(Server, HugeTimeStepCountIsBadRequestNotAHang) {
+  // A plan's simulation stops once the cache and tracker states repeat, so
+  // 2^62 time steps cost a few; their counts overflow 64 bits, which is a
+  // bad request, answered at once, and the session stays usable.
+  TestServer ts;
+  ASSERT_NE(ts.server, nullptr);
+  auto client = Client::connect(ts.socketPath, "t1");
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->measure(adiRequest(64)).ok());  // the pipeline, warm
+  constexpr std::uint64_t kSteps = std::uint64_t{1} << 62;
+  using Clock = std::chrono::steady_clock;
+
+  MeasureRequest m = adiRequest(64);
+  m.timeSteps = kSteps;
+  Clock::time_point start = Clock::now();
+  const Result<Measurement> r1 = client->measure(m);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
+  ASSERT_FALSE(r1.ok());
+  EXPECT_EQ(r1.error, ErrorCode::BadRequest) << r1.message;
+
+  ProfileRequest p;
+  p.spec = m.spec;
+  p.n = m.n;
+  p.timeSteps = kSteps;
+  start = Clock::now();
+  const Result<ReuseProfile> r2 = client->profile(p);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(r2.error, ErrorCode::BadRequest) << r2.message;
+
+  EXPECT_TRUE(client->measure(adiRequest(64)).ok());
+}
+
 // --- admission control -----------------------------------------------------
 
 TEST(Server, PerTenantLimitZeroRejectsWithBusy) {
@@ -617,7 +650,10 @@ TEST(Server, DrainFinishesInFlightWorkAndRefusesNewWork) {
   TestServer ts;
   ASSERT_NE(ts.server, nullptr);
 
-  // Launch a cold request, then drain while it computes.
+  // Launch a cold request, then drain once the daemon has admitted it: a
+  // drain that ran ahead of the worker's connection would refuse the work
+  // rather than finish it.  Poll a probe's stats for the admission, every
+  // 5 ms for at most 10 s.
   bool replyOk = false;
   std::thread worker([&] {
     auto c = Client::connect(ts.socketPath, "in-flight");
@@ -625,7 +661,20 @@ TEST(Server, DrainFinishesInFlightWorkAndRefusesNewWork) {
     const Result<Measurement> r = c->measure(adiRequest(64));
     replyOk = r.ok() || r.error == ErrorCode::ShuttingDown;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto probe = Client::connect(ts.socketPath, "probe");
+  EXPECT_NE(probe, nullptr);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::uint64_t admitted = 0;
+  while (probe != nullptr && admitted == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    const Result<StatsReply> stats = probe->stats();
+    if (!stats.ok()) break;
+    admitted = stats->server.requestsAdmitted;
+    if (admitted == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(admitted, 1u);
   ts.server->drainAndStop();
   worker.join();
   EXPECT_TRUE(replyOk) << "in-flight request lost its reply";

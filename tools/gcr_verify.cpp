@@ -271,7 +271,7 @@ int runSymbolic(const std::vector<std::string>& names, const Options& o) {
       ReuseDistanceSink sink(8);
       sink.reserve(static_cast<std::uint64_t>(layout.totalBytes()));
       execute(p, layout, {.n = n}, &sink);
-      const ReuseProfile measured = sink.takeProfile();
+      const ReuseProfile measured = sink.profile();
       const ProfileComparison c =
           compareHistograms(ev.histogram, measured.histogram);
       logSum += std::log(std::max(c.avgCdfError, 1e-6));
