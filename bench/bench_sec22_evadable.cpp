@@ -33,7 +33,7 @@ InstrTrace traceOf(const Program& p, std::int64_t n) {
   const std::uint64_t refs = estimateDynamicRefs(p, n);
   t.reserve(refs, refs);
   DataLayout l = contiguousLayout(p, n);
-  execute(p, l, {.n = n}, &t);
+  trace(p, l, {.n = n}, t);
   return t;
 }
 

@@ -5,7 +5,7 @@
 # histograms, the Section 2.2 evadable-reuse table and the multicore
 # crossover table (per-core cycles and shared-LLC miss fractions).  Only the
 # wall-clock throughput line and the engine cache/store/multicore counter
-# footers are dropped, the same lines the determinism smokes in CI skip.
+# footers are dropped, the same lines CI's determinism smoke skips.
 #
 #   bench/golden/check.sh <build>/bench           # compare; exit 1 on a diff
 #   bench/golden/check.sh <build>/bench --write   # regenerate the copies

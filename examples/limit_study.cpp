@@ -18,7 +18,7 @@ InstrTrace traceOf(const ProgramVersion& v, std::int64_t n) {
   const std::uint64_t refs = estimateDynamicRefs(v.program, n);
   t.reserve(refs, refs);
   DataLayout l = v.layoutAt(n);
-  execute(v.program, l, {.n = n}, &t);
+  trace(v.program, l, {.n = n}, t);
   return t;
 }
 }  // namespace

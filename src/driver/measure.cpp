@@ -1,6 +1,5 @@
 #include "driver/measure.hpp"
 
-#include <functional>
 #include <optional>
 
 #include "interp/schedule.hpp"
@@ -8,32 +7,22 @@
 
 namespace gcr {
 
-namespace {
-
-/// Measurements and profiles read addresses only, so a compiled plan runs
-/// through the address-only walker, whose one-core slice is the whole
-/// serial stream: no memory image, no value chain.  It runs one time step
-/// at a time until `repeats` (replayUntilRepeat); returns the steps left
-/// to extrapolate.  Without a plan, execute() runs every step.
-std::uint64_t run(const Execution& e, InstrSink* sink,
-                  const std::function<bool()>& repeats) {
-  if (e.plan != nullptr)
-    return replayUntilRepeat(*e.plan, ScheduleSlice{}, sink, repeats);
-  execute(e.program, e.layout, e.opts, sink);
-  return 0;
-}
-
-}  // namespace
-
-Measurement measureExecution(const Execution& e, const MachineConfig& machine,
+// Measurements and profiles read addresses only, so the plan runs through
+// the address-only walker, whose one-core slice is the whole serial stream:
+// no memory image, no value chain.  It runs one time step at a time until
+// the state repeats (replayUntilRepeat), which returns the steps left to
+// extrapolate.
+Measurement measureExecution(const AccessPlan& plan,
+                             const MachineConfig& machine,
                              const CostModel& cost) {
   MemoryHierarchy hierarchy(machine);
   std::optional<MemoryHierarchy> previous;  // at the last step boundary
-  const std::uint64_t skipped = run(e, &hierarchy, [&] {
-    if (previous && hierarchy.sameState(*previous)) return true;
-    previous = hierarchy;
-    return false;
-  });
+  const std::uint64_t skipped =
+      replayUntilRepeat(plan, ScheduleSlice{}, &hierarchy, [&] {
+        if (previous && hierarchy.sameState(*previous)) return true;
+        previous = hierarchy;
+        return false;
+      });
   Measurement m;
   m.counts = hierarchy.counts();
   if (skipped > 0)
@@ -44,16 +33,17 @@ Measurement measureExecution(const Execution& e, const MachineConfig& machine,
   return m;
 }
 
-ReuseProfile profileExecution(const Execution& e, double sampleRate) {
+ReuseProfile profileExecution(const AccessPlan& plan, double sampleRate) {
   ReuseDistanceSink sink(8, sampleRate);
-  sink.reserve(static_cast<std::uint64_t>(e.layout.totalBytes()));
+  sink.reserve(static_cast<std::uint64_t>(plan.layout->totalBytes()));
   std::optional<ReuseProfile> previous;  // at the last step boundary
-  const std::uint64_t skipped = run(e, &sink, [&] {
-    ReuseProfile now = sink.profile();
-    if (previous && trackerStateRepeats(*previous, now)) return true;
-    previous = std::move(now);
-    return false;
-  });
+  const std::uint64_t skipped =
+      replayUntilRepeat(plan, ScheduleSlice{}, &sink, [&] {
+        ReuseProfile now = sink.profile();
+        if (previous && trackerStateRepeats(*previous, now)) return true;
+        previous = std::move(now);
+        return false;
+      });
   ReuseProfile p = sink.profile();
   if (skipped > 0) p = extrapolateSteps(p, *previous, skipped);
   return p;
@@ -63,17 +53,17 @@ Measurement measure(const ProgramVersion& version, std::int64_t n,
                     const MachineConfig& machine, std::uint64_t timeSteps,
                     const CostModel& cost) {
   const DataLayout layout = version.layoutAt(n);
-  return measureExecution(
-      {version.program, layout, {.n = n, .timeSteps = timeSteps}}, machine,
-      cost);
+  const PlanCompileResult compiled =
+      compilePlan(version.program, layout, {.n = n, .timeSteps = timeSteps});
+  return measureExecution(compiled.planOrThrow(), machine, cost);
 }
 
 ReuseProfile reuseProfileOf(const ProgramVersion& version, std::int64_t n,
                             std::uint64_t timeSteps, double sampleRate) {
   const DataLayout layout = version.layoutAt(n);
-  return profileExecution(
-      {version.program, layout, {.n = n, .timeSteps = timeSteps}},
-      sampleRate);
+  const PlanCompileResult compiled =
+      compilePlan(version.program, layout, {.n = n, .timeSteps = timeSteps});
+  return profileExecution(compiled.planOrThrow(), sampleRate);
 }
 
 }  // namespace gcr

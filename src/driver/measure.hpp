@@ -3,29 +3,28 @@
 //
 // measure()/reuseProfileOf() simulate one version at one size.  They and
 // the Engine's memoized path (engine/engine.hpp) share one assembly,
-// measureExecution()/profileExecution(): the Engine hands in its cached
-// compiled plan or its resolved execution engine, the free functions let
-// execute() choose.  The hierarchy and the reuse trackers read addresses
-// only, so a handed-in plan runs through the address-only plan walker
-// (the one-core slice, interp/schedule.hpp): no memory image is allocated
-// and no value is computed.  execute() and the free functions still
-// compute values; the address stream is the same either way.
+// measureExecution()/profileExecution(), over a compiled plan: the Engine
+// hands in its cached one, the free functions compile their own, and a
+// program the plan compiler declines is a gcr::Error
+// (PlanCompileResult::planOrThrow).  The hierarchy and the reuse trackers
+// read addresses only, so the plan runs through the address-only plan
+// walker (the one-core slice, interp/schedule.hpp): no memory image is
+// allocated and no value is computed.
 //
-// Time steps.  A handed-in plan runs one time step at a time
-// (replayUntilRepeat).  Every step replays the same address stream, and
-// the simulators are deterministic, so once a simulator's state after step
-// k equals its state after step k - 1, steps k + 1 .. T each add what step
-// k added: the counts become C_k + (T - k)(C_k - C_{k-1}), in checked
-// arithmetic (an overflow throws gcr::Error rather than wrapping).
-// Measurements compare the hierarchy's state (MemoryHierarchy::sameState)
-// and stop at the first repeat, after step 2 or, where prefetch marks take
-// a step to settle, later.  Profiles stop after step 2: the tracker's state
-// repeats from step 1 on (trackerStateRepeats), so the histogram is
+// Time steps.  The plan runs one time step at a time (replayUntilRepeat).
+// Every step replays the same address stream, and the simulators are
+// deterministic, so once a simulator's state after step k equals its state
+// after step k - 1, steps k + 1 .. T each add what step k added: the counts
+// become C_k + (T - k)(C_k - C_{k-1}), in checked arithmetic (an overflow
+// throws gcr::Error rather than wrapping).  Measurements compare the
+// hierarchy's state (MemoryHierarchy::sameState) and stop at the first
+// repeat, after step 2 or, where prefetch marks take a step to settle,
+// later.  Profiles stop after step 2: the tracker's state repeats from
+// step 1 on (trackerStateRepeats), so the histogram is
 // H1 + (T - 1)(H2 - H1), `accesses` is T times one step's and
 // `distinctData` step 1's.  T <= 2 runs whole and takes no snapshot.  The
 // results are identical to a full T-step replay, which the tests keep as
-// the referee; execute() (the tree walker, the free functions) still runs
-// every step.  Traffic and effective bandwidth are priced from the
+// the referee.  Traffic and effective bandwidth are priced from the
 // extrapolated MissCounts with the formulas the live hierarchy uses.
 //
 // Every field of a Measurement is a simulated result, so one request
@@ -44,7 +43,6 @@
 
 #include "cachesim/hierarchy.hpp"
 #include "driver/pipeline.hpp"
-#include "interp/interp.hpp"
 #include "locality/reuse_distance.hpp"
 
 namespace gcr {
@@ -98,25 +96,16 @@ struct ReuseTask {
   std::uint64_t timeSteps = 1;
 };
 
-/// One execution of a program at one size: `plan`, address-only, when the
-/// caller holds a compiled plan for exactly (program, layout, opts.n,
-/// opts.timeSteps), else execute() under opts.engine.
-struct Execution {
-  const Program& program;
-  const DataLayout& layout;
-  ExecOptions opts;
-  const AccessPlan* plan = nullptr;
-};
-
-/// The one Measurement assembly: run `e` through `machine`'s hierarchy
-/// (a plan until its state repeats, then extrapolated) and price the
+/// The one Measurement assembly: run `plan` through `machine`'s hierarchy
+/// until its state repeats, extrapolate the remaining steps, and price the
 /// counts with `cost`.
-Measurement measureExecution(const Execution& e, const MachineConfig& machine,
+Measurement measureExecution(const AccessPlan& plan,
+                             const MachineConfig& machine,
                              const CostModel& cost);
 
 /// The one ReuseProfile assembly: the reuse sink at `sampleRate` (exact at
-/// rate 1), with the layout's elements indexed densely; a plan runs two
+/// rate 1), with the layout's elements indexed densely; the plan runs two
 /// time steps and extrapolates the rest.
-ReuseProfile profileExecution(const Execution& e, double sampleRate);
+ReuseProfile profileExecution(const AccessPlan& plan, double sampleRate);
 
 }  // namespace gcr

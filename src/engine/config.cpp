@@ -18,9 +18,4 @@ std::string EngineConfig::resolveCacheDir() const {
   return env::cacheDir();
 }
 
-ExecEngine EngineConfig::resolveEngine() const {
-  if (engine.has_value()) return *engine;
-  return execEngineFromToken(env::engineToken());
-}
-
 }  // namespace gcr

@@ -12,8 +12,6 @@
 //   cacheDir  — cacheDir set wins ("" disables the disk tier even when the
 //               variable is set); else GCR_CACHE_DIR; else "" = no disk tier
 //               (resolveCacheDir()).
-//   engine    — engine set wins; else GCR_ENGINE ("walk"/"tree", "plan");
-//               else Auto (resolveEngine()).
 //
 // The resolve*() helpers are the only place this precedence is encoded;
 // Engine reads the environment exactly once, at construction, through them
@@ -25,9 +23,14 @@
 #include <string>
 #include <utility>
 
-#include "interp/interp.hpp"
-
 namespace gcr {
+
+/// Every request runs the compiled access plan (interp/plan.hpp); there is
+/// no other execution engine to choose.  This one-value enum and
+/// EngineConfig::engine remain only because gcrbench's engineConfig()
+/// (gcrbench/src/sweeps.cpp) still pins the field; ROADMAP.md item 1 drops
+/// that pin and deletes both.
+enum class ExecEngine { Plan };
 
 struct EngineConfig {
   /// Per-cache entry bounds; 0 disables that cache.
@@ -45,9 +48,9 @@ struct EngineConfig {
   /// tracker; smaller rates switch profiles to the SHARDS-style sampled
   /// tracker with distances and counts scaled by 1/rate.
   double sampleRate = 1.0;
-  /// Execution engine.  nullopt (default) defers to GCR_ENGINE; see
-  /// ExecEngine (interp/interp.hpp) for the alternatives.
-  std::optional<ExecEngine> engine;
+  /// Written only by gcrbench/src/sweeps.cpp; nothing in src/ reads it
+  /// (see ExecEngine).
+  ExecEngine engine = ExecEngine::Plan;
   /// Directory of the persistent artifact store (the disk cache tier).
   /// nullopt (default) defers to GCR_CACHE_DIR; an empty string disables
   /// the disk tier even when the variable is set.  Created on demand; if it
@@ -68,10 +71,6 @@ struct EngineConfig {
   }
   EngineConfig& withSampleRate(double rate) {
     sampleRate = rate;
-    return *this;
-  }
-  EngineConfig& withEngine(ExecEngine e) {
-    engine = e;
     return *this;
   }
   EngineConfig& withCacheDir(std::string dir) {
@@ -96,10 +95,6 @@ struct EngineConfig {
   /// Final store directory: the explicit field when set (may be "" =
   /// disabled), else GCR_CACHE_DIR, else "" (no disk tier).
   std::string resolveCacheDir() const;
-
-  /// Final execution engine: the explicit field when set, else the
-  /// GCR_ENGINE token, else Auto.
-  ExecEngine resolveEngine() const;
 };
 
 }  // namespace gcr

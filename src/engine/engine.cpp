@@ -60,9 +60,6 @@ struct SimInputs {
 
 struct Engine::Impl {
   const EngineConfig config;
-  /// The execution engine, resolved once at construction (explicit field >
-  /// GCR_ENGINE > Auto; see EngineConfig::resolveEngine).
-  const ExecEngine engine;
   /// Persistent disk tier; nullptr = memory-only.  Thread-safe internally,
   /// so it is consulted from jobs outside `mutex`.
   const std::unique_ptr<store::ArtifactStore> diskStore;
@@ -83,7 +80,6 @@ struct Engine::Impl {
 
   explicit Impl(const EngineConfig& c)
       : config(c),
-        engine(c.resolveEngine()),
         diskStore(store::ArtifactStore::open({.dir = c.resolveCacheDir(),
                                               .fsync = c.storeFsync,
                                               .maxBytes = c.storeMaxBytes})),
@@ -215,30 +211,15 @@ struct Engine::Impl {
     return out;
   }
 
-  /// The execution behind a measurement or reuse profile: execute()'s
-  /// dispatch with the resolved engine passed explicitly and the compiled
-  /// plan served from the plan tier.  TreeWalk runs the oracle; otherwise
-  /// the cached plan runs, and a program the plan compiler declines falls
-  /// back to the walker (or fails, when the resolved engine is Plan).
+  /// fn(plan) over the cached compiled plan of `s` — the one lookup behind
+  /// measurements, reuse profiles and multicore profiles.  A program the
+  /// plan compiler declines throws gcr::Error with the compiler's reason
+  /// (PlanCompileResult::planOrThrow).
   template <typename Fn>
-  auto withExecution(const SimInputs& s, Fn&& fn) {
-    const Execution walk{s.version.program,
-                         s.layout,
-                         {.n = s.n,
-                          .timeSteps = s.timeSteps,
-                          .engine = ExecEngine::TreeWalk}};
-    if (engine == ExecEngine::TreeWalk) return fn(walk);
+  auto withPlan(const SimInputs& s, Fn&& fn) {
     const std::shared_ptr<const CachedPlan> plan =
         resolveHere<PlanKind>(s).get();
-    if (plan->compiled.ok())
-      return fn(Execution{plan->program,
-                          plan->layout,
-                          {.n = s.n, .timeSteps = s.timeSteps},
-                          plan->compiled.plan.get()});
-    GCR_CHECK(engine != ExecEngine::Plan,
-              "plan engine required but program does not qualify: " +
-                  plan->compiled.reason);
-    return fn(walk);
+    return fn(plan->compiled.planOrThrow());
   }
 
   // --- the traits table: one entry per artifact kind ------------------------
@@ -334,8 +315,8 @@ struct Engine::Impl {
       return h.take();
     }
     static Result compute(Impl& e, const Args& a) {
-      return e.withExecution(a.sim, [&](const Execution& x) {
-        return measureExecution(x, a.machine, a.cost);
+      return e.withPlan(a.sim, [&](const AccessPlan& plan) {
+        return measureExecution(plan, a.machine, a.cost);
       });
     }
   };
@@ -363,8 +344,8 @@ struct Engine::Impl {
       return h.take();
     }
     static Result compute(Impl& e, const Args& s) {
-      return e.withExecution(s, [&](const Execution& x) {
-        return profileExecution(x, e.config.sampleRate);
+      return e.withPlan(s, [&](const AccessPlan& plan) {
+        return profileExecution(plan, e.config.sampleRate);
       });
     }
   };
@@ -428,20 +409,12 @@ struct Engine::Impl {
       return h.take();
     }
     static Result compute(Impl& e, const Args& a) {
-      // The schedule slicer works on compiled plans only: slicing needs the
-      // plan's flat loop structure, and the walker has no equivalent.  Every
-      // registry app qualifies; a declined program is a hard error rather
-      // than a silently serial fallback.
-      const std::shared_ptr<const CachedPlan> plan =
-          e.resolveHere<PlanKind>(a.sim).get();
-      GCR_CHECK(plan->compiled.ok(),
-                "multicore analysis requires the plan engine: " +
-                    plan->compiled.reason);
       // From a pool job the nested parallelFor inside analyzeMulticore runs
       // its per-core simulations inline — correct either way (results are
       // thread-count independent).
-      return analyzeMulticore(*plan->compiled.plan, a.topology, a.cost,
-                              &e.pool);
+      return e.withPlan(a.sim, [&](const AccessPlan& plan) {
+        return analyzeMulticore(plan, a.topology, a.cost, &e.pool);
+      });
     }
   };
 

@@ -44,12 +44,9 @@
 //
 // Configuration is one record, EngineConfig (engine/config.hpp), with one
 // environment-precedence rule: explicit field > GCR_* variable > default.
-// The resolved engine is fixed at Engine construction: TreeWalk bypasses
-// the plan cache and runs the tree-walking oracle; every other value runs
-// trace generation through the cached compiled plan (falling back to the
-// walker for a program the plan compiler declines, except when the
-// resolved engine is Plan, which fails instead).  Both produce
-// bit-identical results.
+// Measurements, reuse profiles and multicore profiles all run the cached
+// compiled plan; a program the plan compiler declines fails the request
+// with gcr::Error carrying the compiler's reason.
 //
 // Persistent disk tier: with EngineConfig::cacheDir (or the GCR_CACHE_DIR
 // environment variable) set, the in-memory caches are backed by an on-disk
@@ -113,8 +110,7 @@ class Engine {
                          const VersionSpec& spec = {});
 
   /// Memoized measure(): simulate `version` at size n on `machine`.  Uses
-  /// the plan cache for the address stream (or the tree walker, per the
-  /// resolved engine; see the header comment).
+  /// the plan cache for the address stream.
   Measurement measure(const ProgramVersion& version, std::int64_t n,
                       const MachineConfig& machine,
                       std::uint64_t timeSteps = 1, const CostModel& cost = {});

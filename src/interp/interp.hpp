@@ -1,22 +1,26 @@
 // Execution-driven interpreter for IR programs.
 //
-// Two jobs:
+// Two jobs, one engine — the compiled access plan (interp/plan.hpp):
 //   1. exact value semantics — every statement instance computes
 //      `lhs = mix(seed, rhs values...)` over uint64, so two programs are
 //      semantically equal iff their final per-array contents are identical.
-//      This is the correctness oracle for every transformation pass.
+//      This is the correctness oracle for every transformation pass:
+//      execute().
 //   2. trace generation — each executed instance is reported to an InstrSink
-//      with its read/write byte addresses under a chosen DataLayout.
+//      with its read/write byte addresses under a chosen DataLayout.  The
+//      addresses never depend on memory contents, so trace() runs the plan
+//      address-only and builds no memory image.
 //
-// Two engines share these semantics: the tree-walking interpreter (this
-// file's Executor — the oracle) and the compiled access-plan engine
-// (interp/plan.hpp), which strength-reduces address streams and batches sink
-// delivery.  execute() dispatches to the plan engine whenever the program
-// qualifies (all shipped IR does) and falls back to the walker otherwise.
+// Both compile the plan first, and a program the plan compiler declines (a
+// subscript out of bounds, an access outside the data segment, a guard
+// beyond its nest) throws gcr::Error with the compiler's reason before any
+// instance runs.  The tree walker the plan replaced is the test referee
+// (tests/interp/tree_walker.hpp).
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "interp/layout.hpp"
@@ -25,21 +29,8 @@
 
 namespace gcr {
 
-/// Which execution engine execute() uses.  Auto prefers the compiled plan
-/// and falls back to the tree walker when the program does not qualify; the
-/// GCR_ENGINE environment variable ("plan", "walk") overrides Auto.
-enum class ExecEngine { Auto, TreeWalk, Plan };
-
-/// Map a GCR_ENGINE token to an engine: "walk"/"tree" force the oracle,
-/// "plan" requires the plan engine.  Anything else (including "") is Auto.
-/// The single place
-/// the token syntax is defined; callers obtain the raw token from
-/// gcr::env::engineToken() (support/env.hpp).
-ExecEngine execEngineFromToken(const std::string& token);
-
 struct ExecOptions {
   std::int64_t n = 16;           ///< problem size (value of the parameter N)
-  bool boundsCheck = true;       ///< verify subscripts against extents
   std::uint64_t timeSteps = 1;   ///< repeat the whole program body this many
                                  ///< times (the paper counts only loops inside
                                  ///< the time-step loop)
@@ -49,9 +40,6 @@ struct ExecOptions {
   /// elements start equal.
   std::function<std::uint64_t(ArrayId, std::span<const std::int64_t>)>
       initValue;
-  /// Engine selection; see ExecEngine.  TreeWalk forces the oracle; Plan
-  /// fails loudly when the program does not qualify (differential tests).
-  ExecEngine engine = ExecEngine::Auto;
 };
 
 struct ExecResult {
@@ -59,14 +47,19 @@ struct ExecResult {
   std::uint64_t instrCount = 0;
 };
 
-/// Execute `p` at problem size `opts.n` under `layout`, reporting each
-/// instance to `sink` (may be null).  All arrays must have elemSize 8.
+/// Execute `p` at problem size `opts.n` under `layout`: the memory image
+/// and the instruction count.  All arrays must have elemSize 8.
 ExecResult execute(const Program& p, const DataLayout& layout,
-                   const ExecOptions& opts, InstrSink* sink = nullptr);
+                   const ExecOptions& opts);
+
+/// Report every instance of `p` at problem size `opts.n` under `layout` to
+/// `sink`, addresses only: the stream execute() runs, without its values.
+void trace(const Program& p, const DataLayout& layout, const ExecOptions& opts,
+           InstrSink& sink);
 
 /// Fill a zeroed memory image with the deterministic initial contents — a
-/// function of (array, logical index), never of the address.  Shared by both
-/// engines so their starting states are bit-identical.
+/// function of (array, logical index), never of the address, so executions
+/// under different layouts start from the same logical state.
 void initializeMemory(const Program& p, const DataLayout& layout,
                       const ExecOptions& opts,
                       std::vector<std::uint64_t>& memory);

@@ -44,7 +44,7 @@ class PlanCompiler {
  public:
   PlanCompiler(const Program& p, const DataLayout& layout,
                const ExecOptions& opts)
-      : p_(p), layout_(layout), n_(opts.n), boundsCheck_(opts.boundsCheck) {
+      : p_(p), layout_(layout), n_(opts.n) {
     plan_ = std::make_unique<AccessPlan>();
     plan_->program = &p;
     plan_->layout = &layout;
@@ -62,7 +62,6 @@ class PlanCompiler {
       extents_.push_back(concreteExtents(d, n_));
     }
     for (const Child& c : p_.top) {
-      if (!c.guards.empty()) return decline("guards at program top level");
       std::optional<Compiled> cc = compileChild(c, {});
       if (!fail_.empty()) return decline(fail_);
       if (cc) plan_->top.push_back(std::move(cc->child));
@@ -216,7 +215,7 @@ class PlanCompiler {
       const Subscript& s = r.subs[pos];
       const std::int64_t off = s.offset.eval(n_);
       if (s.isConstant()) {
-        if (boundsCheck_ && !(off >= 0 && off < ext[pos])) {
+        if (!(off >= 0 && off < ext[pos])) {
           fail_ = "constant subscript out of bounds";
           return std::nullopt;
         }
@@ -228,16 +227,16 @@ class PlanCompiler {
         return std::nullopt;
       }
       const Range rg = eff[static_cast<std::size_t>(s.depth)];
-      if (boundsCheck_ && !(rg.lo + off >= 0 && rg.hi + off < ext[pos])) {
+      if (!(rg.lo + off >= 0 && rg.hi + off < ext[pos])) {
         fail_ = "subscript out of bounds";
         return std::nullopt;
       }
       ref.constTerm += stride * off;
       ref.coeffs[static_cast<std::size_t>(s.depth)] += stride;
     }
-    // Data-segment check over the statement's whole iteration box — replaces
-    // the tree walker's per-access load/store checks (performed even with
-    // boundsCheck off).  Address is affine, so extrema sit at box corners.
+    // Data-segment check over the statement's whole iteration box, in place
+    // of a per-access load/store check.  Address is affine, so extrema sit
+    // at box corners.
     std::int64_t minAddr = ref.constTerm;
     std::int64_t maxAddr = ref.constTerm;
     for (int d = 0; d < depth; ++d) {
@@ -256,7 +255,6 @@ class PlanCompiler {
   const Program& p_;
   const DataLayout& layout_;
   const std::int64_t n_;
-  const bool boundsCheck_;
   std::vector<std::vector<std::int64_t>> extents_;
   std::unique_ptr<AccessPlan> plan_;
   std::string fail_;
@@ -582,6 +580,11 @@ PlanCompileResult compilePlan(const Program& p, const DataLayout& layout,
                               const ExecOptions& opts) {
   PlanCompiler compiler(p, layout, opts);
   return compiler.compile();
+}
+
+const AccessPlan& PlanCompileResult::planOrThrow() const {
+  GCR_CHECK(ok(), "plan compiler declined the program: " + reason);
+  return *plan;
 }
 
 ExecResult executePlan(const AccessPlan& plan, const ExecOptions& opts,

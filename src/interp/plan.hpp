@@ -1,13 +1,11 @@
-// Compiled access-plan execution engine.
+// Compiled access-plan execution engine: the one engine that executes and
+// traces IR programs (interp/interp.hpp's execute() and trace() run it).
 //
-// The tree-walking interpreter (interp.cpp) re-walks the Child/Node tree for
-// every statement instance: it re-evaluates Affine::eval(n) loop bounds and
-// guards, recomputes DataLayout::addressOf from scratch, and pays one virtual
-// InstrSink call per instance.  In the paper's setting all subscripts are
-// affine in the loop variables (§2.1) and all layouts are affine maps (§4,
-// Fig. 7), so every address stream is exactly computable by induction-variable
-// recurrences.  compilePlan() exploits that: it lowers a (Program, DataLayout,
-// n, timeSteps) quadruple ONCE into a flat op structure —
+// In the paper's setting all subscripts are affine in the loop variables
+// (§2.1) and all layouts are affine maps (§4, Fig. 7), so every address
+// stream is exactly computable by induction-variable recurrences.
+// compilePlan() exploits that: it lowers a (Program, DataLayout, n,
+// timeSteps) quadruple ONCE into a flat op structure —
 //
 //   * loop ops with pre-evaluated [lo, hi] bounds and constant direction;
 //   * guards resolved at compile time: guards on the immediately enclosing
@@ -21,26 +19,30 @@
 //     is a product of concrete intervals per statement, so subscript and
 //     data-segment violations are decided exactly before execution starts.
 //
-// When any of this fails to hold (malformed guard depths, a provable bounds
-// violation, non-8-byte elements), compilePlan() declines with a reason and
-// execute() falls back to the tree walker, which remains the semantic oracle;
-// the two engines are differentially tested to produce byte-identical
-// memory images, instruction counts, and traces.
+// When any of this fails to hold (a guard beyond its nest, a provable
+// subscript or data-segment violation, non-8-byte elements), compilePlan()
+// declines with a reason, and every caller that needs the plan turns that
+// into gcr::Error through PlanCompileResult::planOrThrow() before any
+// instance runs.  The tree-walking interpreter is the test referee
+// (tests/interp/tree_walker.hpp): the plan must reproduce its memory
+// images, instruction counts and traces byte for byte, and decline every
+// program on which it throws.
 //
 // One walker traverses a plan, in two instantiations: executePlan() runs it
 // with values (the memory image and the mix chain), and the schedule
 // replays of interp/schedule.hpp run it address-only over one core's slice
-// of every top-level loop.  Measurements and reuse profiles read addresses
-// only, so they run a plan as the one-core replay (driver/measure.cpp) and
-// build no memory image; values remain for execute(), gcrc and every
-// semantic-equivalence check.  Segment order, reversed loops, outer guards,
-// address recurrences and sink delivery are the same code in both.  The
-// walker emits instances into a structure-of-arrays chunk buffer and
-// delivers them to the sink via InstrSink::onBlock (one virtual call per ~4K
-// instances) instead of once per instance.  It can stop at a time-step
-// boundary: every step emits the same stream, so a simulator whose state
-// repeats from one step to the next needs no more of them, and
-// replayUntilRepeat (interp/schedule.hpp) ends the replay there.
+// of every top-level loop.  Traces, measurements and reuse profiles read
+// addresses only, so they run a plan as the one-core replay (trace(),
+// driver/measure.cpp) and build no memory image; values remain for
+// execute(), gcrc and every semantic-equivalence check.  Segment order,
+// reversed loops, outer guards, address recurrences and sink delivery are
+// the same code in both.  The walker emits instances into a
+// structure-of-arrays chunk buffer and delivers them to the sink via
+// InstrSink::onBlock (one virtual call per ~4K instances) instead of once
+// per instance.  It can stop at a time-step boundary: every step emits the
+// same stream, so a simulator whose state repeats from one step to the next
+// needs no more of them, and replayUntilRepeat (interp/schedule.hpp) ends
+// the replay there.
 #pragma once
 
 #include <memory>
@@ -117,17 +119,20 @@ struct PlanCompileResult {
   std::unique_ptr<AccessPlan> plan;  ///< null when compilation declined
   std::string reason;                ///< why, when declined
   bool ok() const { return plan != nullptr; }
+  /// The plan, or gcr::Error with the compiler's reason when it declined:
+  /// the one place a declined program becomes an error.
+  const AccessPlan& planOrThrow() const;
 };
 
 /// Lower (p, layout, opts.n, opts.timeSteps) into an access plan, or decline
-/// with a reason (the caller then falls back to the tree walker).  The
-/// returned plan borrows `p` and `layout`; they must outlive it.
+/// with a reason.  The returned plan borrows `p` and `layout`; they must
+/// outlive it.
 PlanCompileResult compilePlan(const Program& p, const DataLayout& layout,
                               const ExecOptions& opts);
 
-/// Execute a compiled plan.  Semantics are identical to the tree walker's:
-/// same memory image, same instruction count, same instruction stream (the
-/// sink sees it through onBlock in chunks).
+/// Execute a compiled plan with values: the memory image and instruction
+/// count, and the instruction stream when `sink` is given (it sees it
+/// through onBlock in chunks).
 ExecResult executePlan(const AccessPlan& plan, const ExecOptions& opts,
                        InstrSink* sink = nullptr);
 

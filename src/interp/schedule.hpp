@@ -23,12 +23,13 @@
 // inner loops included.  The emitted stream preserves the serial plan order
 // restricted to the slice, so replaySlice with cores == 1 reproduces
 // executePlan's sink stream instruction for instruction by construction.
-// That one-core replay is how measurements and reuse profiles run a
-// compiled plan (driver/measure.cpp): their sinks read addresses only, and
-// values remain for execute().  They and the multicore analysis replay
-// through replayUntilRepeat(), which runs the time steps one at a time
-// and stops once the simulated state repeats, so a long run costs the
-// steps the caches and trackers take to settle, not T.
+// That one-core replay is how trace(), measurements and reuse profiles run
+// a compiled plan (interp/interp.hpp, driver/measure.cpp): their sinks read
+// addresses only, and values remain for execute().  Measurements, profiles
+// and the multicore analysis replay through replayUntilRepeat(), which
+// runs the time steps one at a time and stops once the simulated state
+// repeats, so a long run costs the steps the caches and trackers take to
+// settle, not T.
 // tests/interp/schedule_test.cpp pins that over every evaluation app and
 // five strategies and 100 fuzz programs, and schedule_referee_test.cpp
 // compares every slice with a referee walker that tests ownership one

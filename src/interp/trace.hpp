@@ -7,8 +7,8 @@
 // instruction granularity.
 //
 // Two delivery granularities:
-//   * onInstr  — one virtual call per statement instance (the tree-walking
-//     interpreter's native granularity);
+//   * onInstr  — one virtual call per statement instance (the granularity
+//     of the tree-walking referee and the interleaved multicore replay);
 //   * onBlock  — one virtual call per structure-of-arrays chunk of ~4K
 //     instances (the plan walker's native granularity, for executePlan and
 //     the schedule replays alike), amortizing dispatch and enabling bulk

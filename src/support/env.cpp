@@ -22,6 +22,4 @@ int threads() {
 
 std::string cacheDir() { return raw("GCR_CACHE_DIR"); }
 
-std::string engineToken() { return raw("GCR_ENGINE"); }
-
 }  // namespace gcr::env

@@ -1,14 +1,12 @@
 // The single parsing site for the GCR_* environment variables (DESIGN.md
 // §9a).  Every layer that honors an environment override reads it through
-// these helpers — ThreadPool (GCR_THREADS), execute()'s engine dispatch
-// (GCR_ENGINE) and the Engine's disk tier (GCR_CACHE_DIR) — so the accepted
-// syntax is defined exactly once, and EngineConfig (engine/config.hpp) can
-// document one precedence rule: explicit config field > environment
-// variable > built-in default.
+// these helpers — ThreadPool (GCR_THREADS) and the Engine's disk tier
+// (GCR_CACHE_DIR) — so the accepted syntax is defined exactly once, and
+// EngineConfig (engine/config.hpp) can document one precedence rule:
+// explicit config field > environment variable > built-in default.
 //
 // Helpers read the environment on every call (no caching), so tests can
-// setenv/unsetenv between Engine constructions; callers that need a stable
-// per-process answer (interp's engine dispatch) cache the result themselves.
+// setenv/unsetenv between Engine constructions.
 #pragma once
 
 #include <string>
@@ -23,10 +21,5 @@ int threads();
 /// GCR_CACHE_DIR: directory of the persistent artifact store.  Returns the
 /// raw value, "" when unset (no disk tier).
 std::string cacheDir();
-
-/// GCR_ENGINE: execution-engine token ("walk"/"tree", "plan").
-/// Returns the raw value, "" when unset; mapping tokens to ExecEngine is
-/// execEngineFromToken (interp/interp.hpp).
-std::string engineToken();
 
 }  // namespace gcr::env

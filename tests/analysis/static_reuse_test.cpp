@@ -23,7 +23,7 @@ ReuseProfile measuredProfile(const Program& p, std::int64_t n) {
   const DataLayout l = contiguousLayout(p, n);
   ReuseDistanceSink sink(8);  // element-level, matching the estimate
   sink.reserve(static_cast<std::uint64_t>(l.totalBytes()));
-  execute(p, l, {.n = n}, &sink);
+  trace(p, l, {.n = n}, sink);
   return sink.profile();
 }
 

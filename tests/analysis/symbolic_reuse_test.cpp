@@ -178,7 +178,7 @@ TEST(SymbolicReuse, AgreementWithDynamicProfileWithinGate) {
     const DataLayout l = contiguousLayout(p, n);
     ReuseDistanceSink sink(8);
     sink.reserve(static_cast<std::uint64_t>(l.totalBytes()));
-    execute(p, l, {.n = n}, &sink);
+    trace(p, l, {.n = n}, sink);
     const ReuseProfile measured = sink.profile();
     const ProfileComparison c =
         compareHistograms(ev.histogram, measured.histogram);

@@ -311,8 +311,7 @@ TEST_P(CacheDifferentialApps, HierarchyMatchesStampedReferee) {
       sinks.push_back(ref.back().get());
     }
     TeeSink tee(sinks);
-    execute(v.program, v.layoutAt(n), ExecOptions{.n = n, .timeSteps = 2},
-            &tee);
+    trace(v.program, v.layoutAt(n), ExecOptions{.n = n, .timeSteps = 2}, tee);
     for (std::size_t i = 0; i < machines.size(); ++i) {
       const MissCounts got = fast[i]->counts();
       const MissCounts want = ref[i]->counts();

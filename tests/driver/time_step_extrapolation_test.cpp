@@ -159,10 +159,6 @@ std::vector<MulticoreProfile> fullReplayMulticore(
 
 using testing::CorpusCase;
 
-Execution executionOf(const CorpusCase& c) {
-  return {c.version.program, c.layout, c.opts, c.compiled.plan.get()};
-}
-
 /// fn(referee, cases) for every evaluation app and Sweep3D x the corpus
 /// strategies, at the schedule corpus sizes (n = 15, and 9 for the 3-D
 /// nests): `referee` is compiled for kRefereeSteps, cases[i] for
@@ -229,7 +225,7 @@ TEST(TimeStepExtrapolation, MeasurementsMatchFullReplay) {
           fullReplayMeasurements(referee.plan(), m, cost);
       for (const auto& c : cases) {
         EXPECT_EQ(store::encodeMeasurement(
-                      measureExecution(executionOf(*c), m, cost)),
+                      measureExecution(c->plan(), m, cost)),
                   store::encodeMeasurement(full[c->opts.timeSteps]))
             << c->name << " on " << m.name << " prefetch "
             << m.l2NextLinePrefetch;
@@ -255,7 +251,7 @@ TEST(TimeStepExtrapolation, ProfilesMatchFullReplay) {
           fullReplayProfiles(referee.plan(), rate);
       for (const auto& c : cases) {
         EXPECT_EQ(
-            store::encodeReuseProfile(profileExecution(executionOf(*c), rate)),
+            store::encodeReuseProfile(profileExecution(c->plan(), rate)),
             store::encodeReuseProfile(full[c->opts.timeSteps]))
             << c->name << " at rate " << rate;
         ++compared;
@@ -347,11 +343,11 @@ TEST(TimeStepExtrapolation, HugeTimeStepCountsThrowInsteadOfWrapping) {
   // fit in 64 bits, and must fail loudly rather than wrap.
   const AdiPlan adi(kHugeTimeSteps);
   ASSERT_TRUE(adi.c.compiled.ok());
-  EXPECT_THROW(measureExecution(executionOf(adi.c), MachineConfig::origin2000(),
+  EXPECT_THROW(measureExecution(adi.c.plan(), MachineConfig::origin2000(),
                                 CostModel{}),
                Error);
-  EXPECT_THROW(profileExecution(executionOf(adi.c), 1.0), Error);
-  EXPECT_THROW(profileExecution(executionOf(adi.c), 1.0 / 64), Error);
+  EXPECT_THROW(profileExecution(adi.c.plan(), 1.0), Error);
+  EXPECT_THROW(profileExecution(adi.c.plan(), 1.0 / 64), Error);
   EXPECT_THROW(analyzeMulticore(adi.c.plan(),
                                 CacheTopology::symmetric(4).scaledDown(16)),
                Error);

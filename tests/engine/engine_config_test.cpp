@@ -1,8 +1,10 @@
 // EngineConfig (engine/config.hpp): one documented precedence rule —
 // explicit config field > GCR_* environment variable > built-in default —
-// resolved once at Engine construction.  This file pins the rule for all
-// three knobs (GCR_THREADS, GCR_CACHE_DIR, GCR_ENGINE), the builder
-// chaining, and the end-to-end effect on a live Engine.
+// resolved once at Engine construction.  This file pins the rule for both
+// knobs (GCR_THREADS, GCR_CACHE_DIR), the builder chaining, and the
+// end-to-end effect on a live Engine; and it holds the Engine's
+// measurements and profiles over the schedule corpus to the tree-walking
+// referee's full trace.
 #include "engine/config.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 #include "apps/registry.hpp"
 #include "engine/engine.hpp"
 #include "interp/schedule_corpus.hpp"
+#include "interp/tree_walker.hpp"
+#include "locality/sampled_reuse.hpp"
 #include "store/codec.hpp"
 #include "support/env.hpp"
 
@@ -93,94 +97,72 @@ TEST(EngineConfig, CacheDirExplicitBeatsEnvBeatsDefault) {
   EXPECT_EQ(fallback.resolveCacheDir(), "");  // default: memory only
 }
 
-TEST(EngineConfig, EngineExplicitBeatsEnvBeatsDefault) {
-  EnvGuard guard("GCR_ENGINE", "walk");
-  EngineConfig explicit_;
-  explicit_.withEngine(ExecEngine::Plan);
-  EXPECT_EQ(explicit_.resolveEngine(), ExecEngine::Plan);
-
-  EngineConfig fromEnv;
-  EXPECT_EQ(fromEnv.resolveEngine(), ExecEngine::TreeWalk);
-
-  EnvGuard unset("GCR_ENGINE", nullptr);
-  EngineConfig fallback;
-  EXPECT_EQ(fallback.resolveEngine(), ExecEngine::Auto);
-}
-
-TEST(EngineConfig, EngineTokenSyntaxIsSingleSourced) {
-  EXPECT_EQ(execEngineFromToken("walk"), ExecEngine::TreeWalk);
-  EXPECT_EQ(execEngineFromToken("tree"), ExecEngine::TreeWalk);
-  EXPECT_EQ(execEngineFromToken("plan"), ExecEngine::Plan);
-  // The retired native tier's token is just another unknown token.
-  EXPECT_EQ(execEngineFromToken("native"), ExecEngine::Auto);
-  EXPECT_EQ(execEngineFromToken(""), ExecEngine::Auto);
-  EXPECT_EQ(execEngineFromToken("warp"), ExecEngine::Auto);
-}
-
 TEST(EngineConfig, BuilderChainsAndReturnsSelf) {
   EngineConfig c;
   EngineConfig& same = c.withThreads(2)
                            .withSampleRate(0.5)
-                           .withEngine(ExecEngine::TreeWalk)
                            .withCacheDir("/tmp/x")
                            .withStoreFsync(false)
                            .withStoreMaxBytes(1 << 20);
   EXPECT_EQ(&same, &c);
   EXPECT_EQ(c.threads, 2);
   EXPECT_EQ(c.sampleRate, 0.5);
-  EXPECT_EQ(c.resolveEngine(), ExecEngine::TreeWalk);
   EXPECT_EQ(c.resolveCacheDir(), "/tmp/x");
   EXPECT_FALSE(c.storeFsync);
   EXPECT_EQ(c.storeMaxBytes, 1u << 20);
 }
 
-TEST(EngineConfig, ExplicitTreeWalkBypassesThePlanCache) {
-  // An explicit engine beats an unset GCR_ENGINE: the session must run the
-  // tree walker itself, never a plan, and match a plan session bit for bit.
-  EnvGuard unset("GCR_ENGINE", nullptr);
-  const MachineConfig m = MachineConfig::origin2000();
-  const Program p = apps::buildApp("Tomcatv");
-  Engine walk(EngineConfig().withEngine(ExecEngine::TreeWalk).withCacheDir(""));
-  Engine plan(EngineConfig().withEngine(ExecEngine::Plan).withCacheDir(""));
-  const ProgramVersion vw = walk.version(p, Strategy::FusedRegrouped);
-  const ProgramVersion vp = plan.version(p, Strategy::FusedRegrouped);
+/// The referee's measurement of a full T-step trace: the tree walker feeds
+/// a live hierarchy every step, priced as the hierarchy prices itself.
+Measurement walkedMeasurement(const testing::CorpusCase& c, std::uint64_t t,
+                              const MachineConfig& m) {
+  MemoryHierarchy h(m);
+  testing::walkTree(c.version.program, c.layout,
+                    {.n = c.opts.n, .timeSteps = t}, &h);
+  Measurement out;
+  out.counts = h.counts();
+  out.cycles = CostModel{}.cycles(out.counts);
+  out.memoryTrafficBytes = h.memoryTrafficBytes();
+  out.effectiveBandwidth = h.effectiveBandwidthRatio();
+  return out;
+}
 
-  EXPECT_EQ(store::encodeMeasurement(walk.measure(vw, 24, m, 2)),
-            store::encodeMeasurement(plan.measure(vp, 24, m, 2)));
-  EXPECT_EQ(store::encodeReuseProfile(walk.reuseProfile(vw, 24)),
-            store::encodeReuseProfile(plan.reuseProfile(vp, 24)));
-  EXPECT_EQ(walk.stats().plan.misses, 0u);
-  EXPECT_EQ(walk.stats().plan.entries, 0u);
-  EXPECT_EQ(plan.stats().plan.misses, 2u);  // one plan per (n, timeSteps)
+/// The referee's exact reuse profile of a full T-step trace.
+ReuseProfile walkedProfile(const testing::CorpusCase& c, std::uint64_t t) {
+  ReuseDistanceSink sink(8);
+  sink.reserve(static_cast<std::uint64_t>(c.layout.totalBytes()));
+  testing::walkTree(c.version.program, c.layout,
+                    {.n = c.opts.n, .timeSteps = t}, &sink);
+  return sink.profile();
 }
 
 TEST(EngineConfig, TreeWalkMatchesTheAddressOnlyPlanOverTheCorpus) {
-  // A Plan session runs measurements and profiles through the address-only
-  // plan walker; a TreeWalk session computes values as well.  Over every
-  // evaluation app and corpus strategy at the schedule corpus's sizes, T=2,
-  // the two must encode the same bytes, on the paper's machine (whose TLB
-  // takes the stamped ways) and on it scaled down by 256 (a 4-entry
-  // recency-ordered TLB and a 128-byte L1).
-  EnvGuard unset("GCR_ENGINE", nullptr);
-  Engine walk(EngineConfig().withEngine(ExecEngine::TreeWalk).withCacheDir(""));
-  Engine plan(EngineConfig().withEngine(ExecEngine::Plan).withCacheDir(""));
+  // The Engine runs measurements and profiles through the address-only
+  // plan walker, one time step at a time until the state repeats, and
+  // extrapolates the rest.  Over every evaluation app and corpus strategy
+  // at the schedule corpus's sizes, its bytes must equal those of the
+  // tree-walking referee's full trace of every step: at T = 2, which runs
+  // whole, and at T = 5, which stops early and extrapolates.  Measurements
+  // run on the paper's machine (whose TLB takes the stamped ways) and on it
+  // scaled down by 256 (a 4-entry recency-ordered TLB and a 128-byte L1).
+  Engine engine(EngineConfig().withCacheDir(""));
   const MachineConfig o2k = MachineConfig::origin2000();
   int cases = 0;
   testing::forEachRegistryCase([&](const testing::CorpusCase& c) {
     const std::int64_t n = c.opts.n;
-    const std::uint64_t t = c.opts.timeSteps;
-    for (const MachineConfig& m : {o2k, o2k.scaledDown(256)})
-      EXPECT_EQ(store::encodeMeasurement(walk.measure(c.version, n, m, t)),
-                store::encodeMeasurement(plan.measure(c.version, n, m, t)))
-          << c.name << " on " << m.name;
-    EXPECT_EQ(store::encodeReuseProfile(walk.reuseProfile(c.version, n, t)),
-              store::encodeReuseProfile(plan.reuseProfile(c.version, n, t)))
-        << c.name;
+    for (const std::uint64_t t : {std::uint64_t{2}, std::uint64_t{5}}) {
+      for (const MachineConfig& m : {o2k, o2k.scaledDown(256)})
+        EXPECT_EQ(store::encodeMeasurement(walkedMeasurement(c, t, m)),
+                  store::encodeMeasurement(engine.measure(c.version, n, m, t)))
+            << c.name << " at T=" << t << " on " << m.name;
+      EXPECT_EQ(store::encodeReuseProfile(walkedProfile(c, t)),
+                store::encodeReuseProfile(engine.reuseProfile(c.version, n, t)))
+          << c.name << " at T=" << t;
+    }
     ++cases;
   });
   EXPECT_EQ(cases, 20);
-  EXPECT_EQ(walk.stats().plan.entries, 0u);
-  EXPECT_GT(plan.stats().plan.misses, 0u);
+  EXPECT_GT(engine.stats().plan.misses, 0u);
 }
 
 TEST(EngineConfig, LiveEngineResolvesPrecedenceAtConstruction) {

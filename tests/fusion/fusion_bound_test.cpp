@@ -17,7 +17,7 @@ namespace {
 std::uint64_t maxReuseDistance(const Program& p, std::int64_t n) {
   DataLayout l = contiguousLayout(p, n);
   ReuseDistanceSink sink(8);
-  execute(p, l, {.n = n}, &sink);
+  trace(p, l, {.n = n}, sink);
   const ReuseProfile prof = sink.profile();
   const int top = prof.histogram.highestNonEmptyBin();
   return top < 0 ? 0 : (std::uint64_t{1} << top);  // bin upper edge
@@ -70,7 +70,7 @@ std::uint64_t longReuses(const Program& p, std::int64_t n,
                          std::uint64_t threshold) {
   DataLayout l = contiguousLayout(p, n);
   ReuseDistanceSink sink(8);
-  execute(p, l, {.n = n}, &sink);
+  trace(p, l, {.n = n}, sink);
   return sink.profile().histogram.countAtLeast(threshold);
 }
 

@@ -35,7 +35,7 @@ namespace {
 std::uint64_t maxReuseDistance(const Program& p, std::int64_t n) {
   DataLayout l = contiguousLayout(p, n);
   ReuseDistanceSink sink(8);
-  execute(p, l, {.n = n}, &sink);
+  trace(p, l, {.n = n}, sink);
   const ReuseProfile prof = sink.profile();
   const int top = prof.histogram.highestNonEmptyBin();
   return top < 0 ? 0 : Log2Histogram::binLow(top);

@@ -89,15 +89,15 @@ TEST(Interp, TimeStepsRepeatProgram) {
 TEST(Interp, TraceSinkSeesReadsAndWrite) {
   Program p = recurrence();
   DataLayout l = contiguousLayout(p, 4);
-  InstrTrace trace;
-  execute(p, l, {.n = 4}, &trace);
-  ASSERT_EQ(trace.size(), 3u);
+  InstrTrace t;
+  trace(p, l, {.n = 4}, t);
+  ASSERT_EQ(t.size(), 3u);
   // First instance: reads A[0] (addr 0), writes A[1] (addr 8).
-  EXPECT_EQ(trace.reads(0).size(), 1u);
-  EXPECT_EQ(trace.reads(0)[0], 0);
-  EXPECT_EQ(trace.writeAddr(0), 8);
+  EXPECT_EQ(t.reads(0).size(), 1u);
+  EXPECT_EQ(t.reads(0)[0], 0);
+  EXPECT_EQ(t.writeAddr(0), 8);
   // Statement id is stable across instances.
-  EXPECT_EQ(trace.stmtId(0), trace.stmtId(2));
+  EXPECT_EQ(t.stmtId(0), t.stmtId(2));
 }
 
 TEST(Interp, ExtractArrayIsLogicalOrder) {

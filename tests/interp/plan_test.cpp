@@ -1,6 +1,7 @@
 // Differential tests: the compiled-plan engine must be indistinguishable
-// from the tree-walking interpreter — byte-identical memory images,
-// instruction counts, and instruction traces — across every registry app,
+// from the tree-walking referee (tree_walker.hpp) — byte-identical memory
+// images, instruction counts, and instruction traces, valued
+// (executePlan) and address-only (trace()) — across every registry app,
 // contiguous and regrouped layouts, reversed loops, guards and statement
 // embedding, multiple time steps, and a fuzz sweep of random programs.
 #include "interp/plan.hpp"
@@ -12,6 +13,7 @@
 #include "driver/pipeline.hpp"
 #include "fusion/fusion.hpp"
 #include "interp/interp.hpp"
+#include "interp/tree_walker.hpp"
 #include "ir/builder.hpp"
 
 namespace gcr {
@@ -32,20 +34,23 @@ std::ptrdiff_t firstTraceMismatch(const InstrTrace& a, const InstrTrace& b) {
 }
 
 void expectEnginesIdentical(const Program& p, const DataLayout& layout,
-                            ExecOptions opts) {
-  ASSERT_TRUE(compilePlan(p, layout, opts).ok())
-      << "program must qualify for the plan engine";
-  opts.engine = ExecEngine::TreeWalk;
+                            const ExecOptions& opts) {
+  const PlanCompileResult compiled = compilePlan(p, layout, opts);
+  ASSERT_TRUE(compiled.ok())
+      << "program must qualify for the plan engine: " << compiled.reason;
   InstrTrace walkTrace;
-  const ExecResult walk = execute(p, layout, opts, &walkTrace);
-  opts.engine = ExecEngine::Plan;
+  const ExecResult walk = testing::walkTree(p, layout, opts, &walkTrace);
   InstrTrace planTrace;
-  const ExecResult plan = execute(p, layout, opts, &planTrace);
+  const ExecResult plan = executePlan(*compiled.plan, opts, &planTrace);
+  InstrTrace addressTrace;
+  trace(p, layout, opts, addressTrace);
 
   EXPECT_EQ(walk.instrCount, plan.instrCount);
   EXPECT_EQ(walk.memory, plan.memory);
   ASSERT_EQ(walkTrace.size(), planTrace.size());
   EXPECT_EQ(firstTraceMismatch(walkTrace, planTrace), -1);
+  ASSERT_EQ(walkTrace.size(), addressTrace.size());
+  EXPECT_EQ(firstTraceMismatch(walkTrace, addressTrace), -1);
 }
 
 void expectEnginesIdentical(const ProgramVersion& v, std::int64_t n,
@@ -198,19 +203,6 @@ TEST(PlanDifferential, CustomInitValue) {
   expectEnginesIdentical(p, layout, opts);
 }
 
-TEST(PlanDifferential, OutOfBoundsFallsBackAndThrows) {
-  // Not plan-qualifying (provable subscript overflow): execute() must fall
-  // back to the tree walker and surface its exact bounds error.
-  ProgramBuilder b("oob");
-  ArrayId a = b.array("A", {AffineN::N()});
-  b.loop("i", 0, AffineN::N(),
-         [&](IxVar i) { b.assign(b.ref(a, {i}), {}); });
-  Program p = b.take();
-  DataLayout l = contiguousLayout(p, 8);
-  EXPECT_FALSE(compilePlan(p, l, {.n = 8}).ok());
-  EXPECT_THROW(execute(p, l, {.n = 8}), Error);
-}
-
 TEST(PlanCompile, RegistryAppsQualify) {
   // The plan engine must be the default for every published measurement.
   for (const auto& app : apps::evaluationApps()) {
@@ -232,7 +224,7 @@ TEST(PlanCompile, ExactDynamicCountsMatchExecution) {
   const PlanCompileResult r = compilePlan(p, layout, {.n = 24});
   ASSERT_TRUE(r.ok()) << r.reason;
   CountingSink sink;
-  const ExecResult res = execute(p, layout, {.n = 24}, &sink);
+  const ExecResult res = testing::walkTree(p, layout, {.n = 24}, &sink);
   EXPECT_EQ(r.plan->instrsPerStep, res.instrCount);
   EXPECT_EQ(r.plan->readsPerStep + r.plan->instrsPerStep, sink.refs());
 }

@@ -185,7 +185,7 @@ TEST(Regroup, ProfitabilityNoUselessDataInBlocks) {
 
   auto l1Misses = [&](const DataLayout& layout) {
     MemoryHierarchy h(MachineConfig::origin2000());
-    execute(p, layout, {.n = n}, &h);
+    trace(p, layout, {.n = n}, h);
     return h.counts().l1Misses;
   };
   EXPECT_LE(l1Misses(rg.layout(p, n)), l1Misses(contiguousLayout(p, n)));

@@ -90,7 +90,7 @@ TEST(RegroupSignature, GroupingNeverIncreasesFetchedLines) {
   fa.l1.ways = 64;  // conflict-free
   auto misses = [&](const DataLayout& layout) {
     MemoryHierarchy h(fa);
-    execute(p, layout, {.n = size}, &h);
+    trace(p, layout, {.n = size}, h);
     return h.counts().l1Misses;
   };
   EXPECT_LE(misses(rg.layout(p, size)), misses(contiguousLayout(p, size)));

@@ -31,7 +31,7 @@ Program twoScans(bool dependent = true) {
 InstrTrace traceOf(const Program& p, std::int64_t n) {
   InstrTrace t;
   DataLayout l = contiguousLayout(p, n);
-  execute(p, l, {.n = n}, &t);
+  trace(p, l, {.n = n}, t);
   return t;
 }
 

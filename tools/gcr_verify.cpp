@@ -270,7 +270,7 @@ int runSymbolic(const std::vector<std::string>& names, const Options& o) {
       const SymbolicEvaluation ev = evaluateSymbolicProfile(sym, n);
       ReuseDistanceSink sink(8);
       sink.reserve(static_cast<std::uint64_t>(layout.totalBytes()));
-      execute(p, layout, {.n = n}, &sink);
+      trace(p, layout, {.n = n}, sink);
       const ReuseProfile measured = sink.profile();
       const ProfileComparison c =
           compareHistograms(ev.histogram, measured.histogram);
