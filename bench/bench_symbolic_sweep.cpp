@@ -65,7 +65,9 @@ int main() {
   constexpr double kErrorGate = 0.10;
   constexpr double kSampleRate = 1.0 / 64;
 
-  Engine engine;  // local session: symbolic profiles memoized per app
+  // Memory-only session: a set GCR_CACHE_DIR would turn a second run's
+  // analysis into a disk read and time the store instead of the engine.
+  Engine engine(EngineConfig().withCacheDir(""));
 
   struct AppResult {
     std::string name;

@@ -20,10 +20,12 @@
 // frame and reads the next frame.  No client byte sequence may crash or
 // wedge the daemon — tests/server/ fuzzes exactly this contract.
 //
-// Result payloads (Measurement, ReuseProfile, PipelineResult) reuse the
-// persistent store's canonical codecs (store/codec.hpp) verbatim, so a
-// reply is byte-identical to what an in-process Engine run would have
-// serialized — the property bench_server_load gates on.
+// Result payloads (Measurement, ReuseProfile, PipelineResult,
+// MulticoreProfile) reuse the persistent store's canonical codecs
+// (store/codec.hpp) verbatim, so a reply is byte-identical to what an
+// in-process Engine run would have serialized — tests/server/server_test.cpp
+// pins this for every result kind, and that a warm duplicate replays the
+// first reply's bytes.
 //
 // The protocol is versioned by rejection, like the store format: a server
 // never interprets frames of another protocolVersion — it replies

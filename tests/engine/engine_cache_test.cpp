@@ -1,10 +1,13 @@
 // Engine memoization: warm results must be byte-identical to the cold
-// computation, agree with the direct (engine-less) primitives, and the
-// caches must honor their capacity bounds.
+// computation and computed by nothing, agree with the direct (engine-less)
+// primitives, and the caches must honor their capacity bounds.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
+#include "../common/sweep_catalog.hpp"
 #include "analysis/symbolic_reuse.hpp"
 #include "apps/registry.hpp"
 #include "engine/engine.hpp"
@@ -33,6 +36,39 @@ TEST(EngineCache, WarmMeasurementIsByteIdenticalToCold) {
   const Engine::Stats s = engine.stats();
   EXPECT_EQ(s.measurement.hits, 1u);
   EXPECT_EQ(s.measurement.misses, 1u);
+}
+
+TEST(EngineCache, WarmSweepComputesNothing) {
+  // A warm pass of the fig9/fig10 sweep replays the cold pass's bytes from
+  // the memory tier alone: no tier misses, no compiled plan is looked up,
+  // and nothing attaches to in-flight work.  Byte identity by itself cannot
+  // tell a replay from a recompute; these counters can.
+  Engine engine(EngineConfig().withCacheDir(""));
+  const std::vector<std::vector<std::uint8_t>> cold =
+      testing::runSweepCatalog(engine);
+  const Engine::Stats before = engine.stats();
+  const std::vector<std::vector<std::uint8_t>> warm =
+      testing::runSweepCatalog(engine);
+  const Engine::Stats after = engine.stats();
+
+  ASSERT_EQ(warm.size(), cold.size());
+  for (std::size_t i = 0; i < cold.size(); ++i)
+    EXPECT_TRUE(warm[i] == cold[i]) << "result " << i;
+
+  const std::pair<const char*, CacheCounters Engine::Stats::*> tiers[] = {
+      {"pipeline", &Engine::Stats::pipeline},
+      {"plan", &Engine::Stats::plan},
+      {"measurement", &Engine::Stats::measurement},
+      {"profile", &Engine::Stats::profile},
+      {"symbolic", &Engine::Stats::symbolic},
+      {"multicore", &Engine::Stats::multicore}};
+  for (const auto& [name, tier] : tiers)
+    EXPECT_EQ((after.*tier).misses, (before.*tier).misses) << name;
+  EXPECT_EQ(after.plan.hits, before.plan.hits);
+  EXPECT_EQ(after.inflightCoalesced, before.inflightCoalesced);
+  // One hit per request: 4 apps x 4 strategies, and one profile per app.
+  EXPECT_EQ(after.measurement.hits - before.measurement.hits, 16u);
+  EXPECT_EQ(after.profile.hits - before.profile.hits, 4u);
 }
 
 TEST(EngineCache, FreshEnginesEncodeIdenticalBytes) {

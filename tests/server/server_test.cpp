@@ -121,12 +121,33 @@ TEST(Server, ProfileAndOptimizeAndVerifyRoundTrip) {
   const Result<ReuseProfile> prof = client->profile(preq);
   ASSERT_TRUE(prof.ok()) << prof.message;
   EXPECT_GT(prof->accesses, 0u);
+  const std::vector<std::uint8_t> profPayload = client->lastPayload();
 
   OptimizeRequest oreq;
   oreq.spec.app = "Tomcatv";
   oreq.spec.strategy = Strategy::FusedRegrouped;
   const Result<PipelineResult> opt = client->optimize(oreq);
   ASSERT_TRUE(opt.ok()) << opt.message;
+  const std::vector<std::uint8_t> optPayload = client->lastPayload();
+
+  // Both payloads are the store codec of a direct in-process run, byte for
+  // byte.
+  Engine direct(EngineConfig().withCacheDir(""));
+  const ReuseProfile localProf = direct.reuseProfile(
+      direct.version(apps::buildApp("Swim"), preq.spec.strategy,
+                     preq.spec.versionSpec()),
+      preq.n, preq.timeSteps);
+  EXPECT_EQ(profPayload, store::encodeReuseProfile(localProf));
+  const PipelineResult localOpt = direct.pipeline(
+      apps::buildApp("Tomcatv"),
+      pipelineOptionsFor(oreq.spec.strategy, oreq.spec.versionSpec()));
+  EXPECT_EQ(optPayload, store::encodePipelineResult(localOpt));
+
+  // Warm duplicates: cache replays send the same bytes.
+  ASSERT_TRUE(client->profile(preq).ok());
+  EXPECT_EQ(client->lastPayload(), profPayload);
+  ASSERT_TRUE(client->optimize(oreq).ok());
+  EXPECT_EQ(client->lastPayload(), optPayload);
 
   const Result<VerifyReply> ver = client->verify(VerifyRequest{"ADI", 16});
   ASSERT_TRUE(ver.ok()) << ver.message;

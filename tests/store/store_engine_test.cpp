@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "../common/random_program.hpp"
+#include "../common/sweep_catalog.hpp"
 #include "../common/temp_dir.hpp"
 #include "apps/registry.hpp"
 #include "engine/engine.hpp"
@@ -96,39 +97,32 @@ TEST(StoreEngine, DiskTierMatchesStorelessEngine) {
 }
 
 TEST(StoreEngine, WarmDiskReproducesFig9AppSweep) {
-  // The bench_fig9_apps shape at test size: every paper app, three
-  // strategies — a cold process on a warm disk must reproduce the sweep
-  // exactly, which is what makes BENCH results reproducible across runs.
+  // The fig9/fig10 sweep at test size: a cold process on a warm disk must
+  // reproduce it byte for byte, which is what makes BENCH results
+  // reproducible across runs, and must compute nothing doing so: every
+  // lookup that misses memory is a disk hit.
   testing::ScopedTempDir dir("gcr-engine-store");
-  const MachineConfig machine = MachineConfig::origin2000();
-  const std::vector<std::string> apps = {"ADI", "Swim", "Tomcatv", "SP"};
-  const std::vector<Strategy> strategies = {
-      Strategy::NoOpt, Strategy::Fused, Strategy::FusedRegrouped};
-
-  std::vector<Measurement> firstRun;
+  std::vector<std::vector<std::uint8_t>> firstRun;
   {
     Engine warm(optionsWithDir(dir.path()));
-    for (const std::string& app : apps) {
-      const Program p = apps::buildApp(app);
-      for (Strategy s : strategies)
-        firstRun.push_back(warm.measure(warm.version(p, s), 16, machine));
-    }
+    firstRun = testing::runSweepCatalog(warm);
   }
 
   Engine cold(optionsWithDir(dir.path()));
-  std::size_t i = 0;
-  for (const std::string& app : apps) {
-    const Program p = apps::buildApp(app);
-    for (Strategy s : strategies) {
-      const Measurement replay =
-          cold.measure(cold.version(p, s), 16, machine);
-      EXPECT_TRUE(bitIdentical(firstRun[i], replay))
-          << app << " strategy " << static_cast<int>(s);
-      ++i;
-    }
-  }
-  EXPECT_EQ(cold.stats().measurement.hits, 0u);  // memory was cold
-  EXPECT_GE(cold.stats().store.hits, firstRun.size());
+  const std::vector<std::vector<std::uint8_t>> replay =
+      testing::runSweepCatalog(cold);
+  ASSERT_EQ(replay.size(), firstRun.size());
+  for (std::size_t i = 0; i < firstRun.size(); ++i)
+    EXPECT_TRUE(replay[i] == firstRun[i]) << "result " << i;
+
+  const Engine::Stats s = cold.stats();
+  EXPECT_EQ(s.measurement.hits, 0u);  // memory was cold
+  EXPECT_EQ(s.plan.misses, 0u);       // nothing was simulated
+  EXPECT_EQ(s.store.puts, 0u);
+  EXPECT_EQ(s.store.misses, 0u);
+  EXPECT_EQ(s.store.corruptRejected, 0u);
+  EXPECT_EQ(s.store.hits,
+            s.pipeline.misses + s.measurement.misses + s.profile.misses);
 }
 
 TEST(StoreEngine, CacheDirEnvironmentVariableIsPickedUp) {
