@@ -67,7 +67,7 @@ int main() {
 
   // Memory-only session: a set GCR_CACHE_DIR would turn a second run's
   // analysis into a disk read and time the store instead of the engine.
-  Engine engine(EngineConfig().withCacheDir(""));
+  Engine engine(EngineConfig{.cacheDir = ""});
 
   struct AppResult {
     std::string name;

@@ -19,7 +19,6 @@
 #include "engine/engine.hpp"
 #include "result_writer.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 
 namespace gcr::bench {
 
@@ -92,7 +91,7 @@ inline void printThroughput(const Sweep& sweep) {
                   ? static_cast<double>(refs) / sweep.seconds / 1e6
                   : 0.0,
               static_cast<unsigned long long>(refs), sweep.seconds,
-              ThreadPool::defaultThreadCount());
+              EngineConfig{}.resolveThreads());
 }
 
 /// Session-Engine cache counters of a finished sweep.  Like the throughput

@@ -115,7 +115,6 @@ class SetAssocCache {
 
   const CacheConfig& config() const { return cfg_; }
   const CacheStats& stats() const { return stats_; }
-  void resetStats() { stats_ = CacheStats{}; }
 
   /// True when both caches have one geometry and the same canonical state
   /// (above), so that any stream of accesses from here on counts the same

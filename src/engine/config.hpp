@@ -1,7 +1,8 @@
 // EngineConfig — the one configuration record of a gcr::Engine session.
 //
 // Replaces the grown MeasureOptions / per-Engine options /
-// environment-variable trio.  Every knob lives here, each with a builder-style setter, and every
+// environment-variable trio.  Every knob lives here as a plain field that
+// callers assign or name in a designated initializer, and every
 // environment override resolves through gcr::env (support/env.hpp) with one
 // precedence rule, applied uniformly:
 //
@@ -15,13 +16,14 @@
 //
 // The resolve*() helpers are the only place this precedence is encoded;
 // Engine reads the environment exactly once, at construction, through them
-// (pinned by tests/engine/engine_config_test.cpp).
+// (pinned by tests/engine/engine_config_test.cpp).  The entry bound of each
+// in-memory cache tier is not a knob: it is a constant of that artifact
+// kind in the Engine (engine/engine.cpp).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 
 namespace gcr {
 
@@ -33,13 +35,6 @@ namespace gcr {
 enum class ExecEngine { Plan };
 
 struct EngineConfig {
-  /// Per-cache entry bounds; 0 disables that cache.
-  std::size_t pipelineCacheCapacity = 64;
-  std::size_t planCacheCapacity = 64;
-  std::size_t measurementCacheCapacity = 512;
-  std::size_t profileCacheCapacity = 128;
-  std::size_t symbolicCacheCapacity = 64;
-  std::size_t multicoreCacheCapacity = 64;
   /// Thread-pool size for submit()/batch APIs (including the calling
   /// thread).  0 defers to GCR_THREADS / hardware_concurrency; 1 runs every
   /// submission inline (the determinism baseline).
@@ -62,29 +57,6 @@ struct EngineConfig {
   /// Disk-store size budget in bytes (0 = unbounded); oldest entries are
   /// evicted after a publication pushes the store past the budget.
   std::uint64_t storeMaxBytes = 0;
-
-  // --- builder ------------------------------------------------------------
-
-  EngineConfig& withThreads(int t) {
-    threads = t;
-    return *this;
-  }
-  EngineConfig& withSampleRate(double rate) {
-    sampleRate = rate;
-    return *this;
-  }
-  EngineConfig& withCacheDir(std::string dir) {
-    cacheDir = std::move(dir);
-    return *this;
-  }
-  EngineConfig& withStoreFsync(bool fsync) {
-    storeFsync = fsync;
-    return *this;
-  }
-  EngineConfig& withStoreMaxBytes(std::uint64_t bytes) {
-    storeMaxBytes = bytes;
-    return *this;
-  }
 
   // --- environment resolution (the single precedence site) ----------------
 

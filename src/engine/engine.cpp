@@ -83,12 +83,12 @@ struct Engine::Impl {
         diskStore(store::ArtifactStore::open({.dir = c.resolveCacheDir(),
                                               .fsync = c.storeFsync,
                                               .maxBytes = c.storeMaxBytes})),
-        pipelines(c.pipelineCacheCapacity),
-        plans(c.planCacheCapacity),
-        measurements(c.measurementCacheCapacity),
-        profiles(c.profileCacheCapacity),
-        symbolics(c.symbolicCacheCapacity),
-        multicores(c.multicoreCacheCapacity),
+        pipelines(PipelineKind::kCapacity),
+        plans(PlanKind::kCapacity),
+        measurements(MeasureKind::kCapacity),
+        profiles(ProfileKind::kCapacity),
+        symbolics(SymbolicKind::kCapacity),
+        multicores(MulticoreKind::kCapacity),
         pool(c.resolveThreads()) {}
 
   // --- the one artifact path ----------------------------------------------
@@ -227,7 +227,7 @@ struct Engine::Impl {
   // Args     the inputs, borrowed (a view the façade builds from its
   //          parameters and submit() from the owned request);
   // Result   what compute() returns; Value is what the tier stores;
-  // tier     where it lives in memory;
+  // tier     where it lives in memory, bounded at kCapacity entries (LRU);
   // key      its content address (domain tag first; the hash input order is
   //          part of the key and must not change);
   // kArtifact/encode/decode  its store kind and codec (plans have none);
@@ -240,6 +240,7 @@ struct Engine::Impl {
     };
     using Result = PipelineResult;
     using Value = Reply;
+    static constexpr std::size_t kCapacity = 64;
     static constexpr store::ArtifactKind kArtifact =
         store::ArtifactKind::PipelineResult;
     static constexpr auto encode = store::encodePipelineResult;
@@ -267,6 +268,7 @@ struct Engine::Impl {
     using Args = SimInputs;
     using Result = std::shared_ptr<const CachedPlan>;
     using Value = Result;
+    static constexpr std::size_t kCapacity = 64;
     static Tier<Value>& tier(Impl& e) { return e.plans; }
     static Signature key(const Impl&, const Args& s) {
       SigHasher h;
@@ -295,6 +297,7 @@ struct Engine::Impl {
     };
     using Result = Measurement;
     using Value = Reply;
+    static constexpr std::size_t kCapacity = 512;
     static constexpr store::ArtifactKind kArtifact =
         store::ArtifactKind::Measurement;
     static constexpr auto encode = store::encodeMeasurement;
@@ -325,6 +328,7 @@ struct Engine::Impl {
     using Args = SimInputs;
     using Result = ReuseProfile;
     using Value = Reply;
+    static constexpr std::size_t kCapacity = 128;
     static constexpr store::ArtifactKind kArtifact =
         store::ArtifactKind::ReuseProfile;
     static constexpr auto encode = store::encodeReuseProfile;
@@ -357,6 +361,7 @@ struct Engine::Impl {
     };
     using Result = SymbolicReuseProfile;
     using Value = Reply;
+    static constexpr std::size_t kCapacity = 64;
     static constexpr store::ArtifactKind kArtifact =
         store::ArtifactKind::SymbolicProfile;
     static constexpr auto encode = store::encodeSymbolicProfile;
@@ -389,6 +394,7 @@ struct Engine::Impl {
     };
     using Result = MulticoreProfile;
     using Value = Reply;
+    static constexpr std::size_t kCapacity = 64;
     static constexpr store::ArtifactKind kArtifact =
         store::ArtifactKind::MulticoreProfile;
     static constexpr auto encode = store::encodeMulticoreProfile;
@@ -410,8 +416,8 @@ struct Engine::Impl {
     }
     static Result compute(Impl& e, const Args& a) {
       // From a pool job the nested parallelFor inside analyzeMulticore runs
-      // its per-core simulations inline — correct either way (results are
-      // thread-count independent).
+      // its per-core simulations inline; from a session thread they fan out
+      // on the pool.  Results are thread-count independent either way.
       return e.withPlan(a.sim, [&](const AccessPlan& plan) {
         return analyzeMulticore(plan, a.topology, a.cost, &e.pool);
       });
@@ -508,16 +514,6 @@ Engine::Stats Engine::stats() const {
 
 std::string Engine::cacheDirInUse() const {
   return impl_->diskStore ? impl_->diskStore->dir() : std::string();
-}
-
-void Engine::clearCaches() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->pipelines.done.clear();
-  impl_->plans.done.clear();
-  impl_->measurements.done.clear();
-  impl_->profiles.done.clear();
-  impl_->symbolics.done.clear();
-  impl_->multicores.done.clear();
 }
 
 }  // namespace gcr

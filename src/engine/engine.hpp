@@ -163,10 +163,6 @@ class Engine {
   /// is disabled (or failed to open).
   std::string cacheDirInUse() const;
 
-  /// Drop every cached artifact from the in-memory tier (counters keep
-  /// their totals; the persistent store is untouched).
-  void clearCaches();
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -201,10 +201,4 @@ Signature multicoreCostSignature(const MulticoreCostModel& cost) {
   return h.take();
 }
 
-Signature combineSignatures(std::initializer_list<Signature> parts) {
-  SigHasher h;
-  for (const Signature& s : parts) h.sig(s);
-  return h.take();
-}
-
 }  // namespace gcr

@@ -98,7 +98,4 @@ Signature topologySignature(const CacheTopology& topo);
 /// Signature of the multicore latency model.
 Signature multicoreCostSignature(const MulticoreCostModel& cost);
 
-/// Order-dependent composition of component signatures.
-Signature combineSignatures(std::initializer_list<Signature> parts);
-
 }  // namespace gcr

@@ -3,7 +3,7 @@
 // Layers, bottom-up:
 //   ir/        the loop-program input language (Figure 5, multi-dimensional)
 //   interp/    exact interpreter + dynamic traces + data layouts
-//   locality/  reuse-distance analysis, evadable-reuse classification
+//   locality/  reuse-distance analysis, multicore locality
 //   cachesim/  set-associative caches, TLB, machine configs, cost model
 //   reuse_driven/  the Section 2.2 limit study (Figure 2 algorithm)
 //   xform/     pre-passes: distribution, unrolling, array splitting
@@ -49,7 +49,6 @@
 #include "ir/validate.hpp"
 #include "interp/plan.hpp"
 #include "interp/schedule.hpp"
-#include "locality/evadable.hpp"
 #include "locality/multicore.hpp"
 #include "locality/reuse_distance.hpp"
 #include "locality/sampled_reuse.hpp"

@@ -448,12 +448,6 @@ std::unique_ptr<Server> Server::start(ServerOptions opts) {
   return s;
 }
 
-void Server::requestStop() {
-  impl_->draining.store(true);
-  const char byte = 1;
-  (void)!::write(impl_->wakePipe[1], &byte, 1);
-}
-
 void Server::drainAndStop() { impl_->drainAndStop(); }
 
 Server::~Server() = default;
@@ -465,23 +459,10 @@ ServerCounters Server::counters() const {
   return c;
 }
 
-std::vector<TenantStats> Server::tenantStats() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<TenantStats> out;
-  out.reserve(impl_->tenants.size());
-  for (const auto& [name, t] : impl_->tenants)
-    out.push_back(TenantStats{name, t.admitted, t.busyRejected});
-  return out;
-}
-
 Engine::Stats Server::engineStats() const { return impl_->engine.stats(); }
 
 std::string Server::cacheDir() const { return impl_->engine.cacheDirInUse(); }
 
 int Server::tcpPort() const { return impl_->boundTcpPort; }
-
-const std::string& Server::unixSocketPath() const {
-  return impl_->opts.unixSocketPath;
-}
 
 }  // namespace gcr::server

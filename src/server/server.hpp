@@ -12,9 +12,10 @@
 //     frame naming the tenant.  Requests on one connection are served in
 //     order (replies never interleave); concurrency comes from concurrent
 //     connections, each on its own thread, all funneling into the shared
-//     Engine — which is where mold-style parallelism lives (its thread
-//     pool and per-signature coalescing saturate the cores, not the
-//     connection count).
+//     Engine's synchronous façade.  A session computes its misses on its
+//     own thread, per-signature coalescing shares duplicate work across
+//     sessions, and the Engine's pool carries only the per-core fan-out of
+//     a multicore request (each session's parallelFor is its own batch).
 //
 //   * Admission + backpressure.  A work request is admitted only when the
 //     global in-flight count is below maxRequestsInFlight AND the tenant's
@@ -24,9 +25,9 @@
 //     the kernel socket buffer, which is itself bounded.)  Connections over
 //     maxConnections are turned away with Busy at accept time.
 //
-//   * Graceful drain.  requestStop() (the SIGTERM path) stops the
-//     acceptor, lets every request already being processed finish and its
-//     reply flush, then half-closes (SHUT_RD) each session so the read
+//   * Graceful drain.  drainAndStop() (gcr-server's SIGTERM path) stops
+//     the acceptor, lets every request already being processed finish and
+//     its reply flush, then half-closes (SHUT_RD) each session so the read
 //     loops wind down.  No admitted request ever loses its reply; work
 //     arriving during the drain gets ShuttingDown.  The persistent store
 //     needs no extra flushing — publications are synchronous and each one
@@ -41,7 +42,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "engine/engine.hpp"
 #include "server/protocol.hpp"
@@ -75,12 +75,9 @@ class Server {
   /// could be bound (at least one of unixSocketPath / tcpPort must be set).
   static std::unique_ptr<Server> start(ServerOptions opts);
 
-  /// Begin a graceful drain: stop accepting, finish in-flight requests,
-  /// half-close sessions.  Idempotent, safe from any thread (it is the
-  /// SIGTERM handler's deferred action).  Does not block.
-  void requestStop();
-
-  /// requestStop() + block until every connection thread has exited.
+  /// Graceful drain: stop accepting, finish in-flight requests, half-close
+  /// sessions, and block until every connection thread has exited.
+  /// Idempotent.
   void drainAndStop();
 
   /// drainAndStop(), then release sockets.
@@ -90,14 +87,12 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   ServerCounters counters() const;
-  std::vector<TenantStats> tenantStats() const;
   Engine::Stats engineStats() const;
   /// Directory of the shared Engine's persistent store ("" = memory only).
   std::string cacheDir() const;
 
   /// Actual TCP port (after an ephemeral bind); -1 when no TCP listener.
   int tcpPort() const;
-  const std::string& unixSocketPath() const;
 
  private:
   Server();

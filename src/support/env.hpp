@@ -1,9 +1,8 @@
 // The single parsing site for the GCR_* environment variables (DESIGN.md
-// §9a).  Every layer that honors an environment override reads it through
-// these helpers — ThreadPool (GCR_THREADS) and the Engine's disk tier
-// (GCR_CACHE_DIR) — so the accepted syntax is defined exactly once, and
-// EngineConfig (engine/config.hpp) can document one precedence rule:
-// explicit config field > environment variable > built-in default.
+// §9a).  Their one reader is EngineConfig (engine/config.hpp), whose
+// resolveThreads() (GCR_THREADS) and resolveCacheDir() (GCR_CACHE_DIR)
+// apply one precedence rule: explicit config field > environment variable
+// > built-in default.  So the accepted syntax is defined exactly once.
 //
 // Helpers read the environment on every call (no caching), so tests can
 // setenv/unsetenv between Engine constructions.

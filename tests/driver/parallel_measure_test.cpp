@@ -28,7 +28,7 @@ void expectIdentical(const Measurement& a, const Measurement& b,
 
 /// A fresh memory-only session: nothing cached, no disk tier.
 EngineConfig freshSession(int threads) {
-  return EngineConfig().withThreads(threads).withCacheDir("");
+  return EngineConfig{.threads = threads, .cacheDir = ""};
 }
 
 // The Figure-10 version set of one app as a task list.

@@ -43,7 +43,7 @@ TEST(EngineCache, WarmSweepComputesNothing) {
   // the memory tier alone: no tier misses, no compiled plan is looked up,
   // and nothing attaches to in-flight work.  Byte identity by itself cannot
   // tell a replay from a recompute; these counters can.
-  Engine engine(EngineConfig().withCacheDir(""));
+  Engine engine(EngineConfig{.cacheDir = ""});
   const std::vector<std::vector<std::uint8_t>> cold =
       testing::runSweepCatalog(engine);
   const Engine::Stats before = engine.stats();
@@ -79,7 +79,7 @@ TEST(EngineCache, FreshEnginesEncodeIdenticalBytes) {
   const Program p = apps::buildApp("Swim");
   std::vector<std::uint8_t> measured[2], multicore[2];
   for (int i = 0; i < 2; ++i) {
-    Engine engine(EngineConfig().withCacheDir(""));
+    Engine engine(EngineConfig{.cacheDir = ""});
     const ProgramVersion v = engine.version(p, Strategy::FusedRegrouped);
     measured[i] = store::encodeMeasurement(engine.measure(v, 32, m));
     multicore[i] =
@@ -138,39 +138,27 @@ TEST(EngineCache, ReuseProfileIsMemoized) {
   EXPECT_EQ(engine.stats().profile.hits, 1u);
 }
 
-TEST(EngineCache, CapacityOneMeasurementCacheEvicts) {
-  EngineConfig opts;
-  opts.measurementCacheCapacity = 1;
-  Engine engine(opts);
-  Program p = apps::buildApp("ADI");
-  ProgramVersion v = engine.version(p, Strategy::NoOpt);
-  const MachineConfig m = MachineConfig::origin2000();
+TEST(EngineCache, SymbolicTierEvictsAtItsBound) {
+  // The symbolic tier holds 64 entries.  ADI at minN = 16..80 is 65 keys,
+  // so the last one evicts the least recently used, minN = 16: requesting
+  // it again misses and recomputes the bytes of its first analysis.
+  Engine engine(EngineConfig{.cacheDir = ""});
+  const Program p = apps::buildApp("ADI");
+  const std::vector<std::uint8_t> first =
+      store::encodeSymbolicProfile(engine.symbolicProfile(p, {.minN = 16}));
+  for (std::int64_t minN = 17; minN <= 80; ++minN)
+    (void)engine.symbolicProfile(p, {.minN = minN});
+  Engine::Stats s = engine.stats();
+  EXPECT_EQ(s.symbolic.misses, 65u);
+  EXPECT_EQ(s.symbolic.evictions, 1u);
+  EXPECT_EQ(s.symbolic.entries, 64u);
 
-  const Measurement a1 = engine.measure(v, 32, m);
-  const Measurement b1 = engine.measure(v, 40, m);  // evicts the n=32 entry
-  const Measurement a2 = engine.measure(v, 32, m);  // recomputed, not cached
-  EXPECT_TRUE(sameSimulatedFields(a1, a2));
-
-  const Engine::Stats s = engine.stats();
-  EXPECT_EQ(s.measurement.hits, 0u);
-  EXPECT_EQ(s.measurement.misses, 3u);
-  EXPECT_GE(s.measurement.evictions, 1u);
-  EXPECT_EQ(s.measurement.entries, 1u);
-  (void)b1;
-}
-
-TEST(EngineCache, ClearCachesForcesRecomputeWithIdenticalResults) {
-  Engine engine;
-  Program p = apps::buildApp("ADI");
-  ProgramVersion v = engine.version(p, Strategy::Fused);
-  const MachineConfig m = MachineConfig::origin2000();
-  const Measurement before = engine.measure(v, 32, m);
-  engine.clearCaches();
-  const Measurement after = engine.measure(v, 32, m);
-  EXPECT_TRUE(sameSimulatedFields(before, after));
-  const Engine::Stats s = engine.stats();
-  EXPECT_EQ(s.measurement.misses, 2u);
-  EXPECT_EQ(s.measurement.hits, 0u);
+  const std::vector<std::uint8_t> again =
+      store::encodeSymbolicProfile(engine.symbolicProfile(p, {.minN = 16}));
+  s = engine.stats();
+  EXPECT_EQ(s.symbolic.hits, 0u);
+  EXPECT_EQ(s.symbolic.misses, 66u);
+  EXPECT_EQ(again, first);
 }
 
 TEST(EngineCache, DistinctMachinesAreDistinctKeys) {

@@ -1,8 +1,8 @@
 // EngineConfig (engine/config.hpp): one documented precedence rule —
 // explicit config field > GCR_* environment variable > built-in default —
 // resolved once at Engine construction.  This file pins the rule for both
-// knobs (GCR_THREADS, GCR_CACHE_DIR), the builder chaining, and the
-// end-to-end effect on a live Engine; and it holds the Engine's
+// knobs (GCR_THREADS, GCR_CACHE_DIR) and the end-to-end effect on a live
+// Engine; and it holds the Engine's
 // measurements and profiles over the schedule corpus to the tree-walking
 // referee's full trace.
 #include "engine/config.hpp"
@@ -80,13 +80,13 @@ TEST(EngineConfig, MalformedOrNonPositiveThreadsEnvIsIgnored) {
 TEST(EngineConfig, CacheDirExplicitBeatsEnvBeatsDefault) {
   EnvGuard guard("GCR_CACHE_DIR", "/tmp/gcr-env-dir");
   EngineConfig explicit_;
-  explicit_.withCacheDir("/tmp/gcr-explicit");
+  explicit_.cacheDir = "/tmp/gcr-explicit";
   EXPECT_EQ(explicit_.resolveCacheDir(), "/tmp/gcr-explicit");
 
   // An explicit EMPTY dir is still explicit: it forces memory-only mode
   // even when the environment names a directory.
   EngineConfig memoryOnly;
-  memoryOnly.withCacheDir("");
+  memoryOnly.cacheDir = "";
   EXPECT_EQ(memoryOnly.resolveCacheDir(), "");
 
   EngineConfig fromEnv;
@@ -95,21 +95,6 @@ TEST(EngineConfig, CacheDirExplicitBeatsEnvBeatsDefault) {
   EnvGuard unset("GCR_CACHE_DIR", nullptr);
   EngineConfig fallback;
   EXPECT_EQ(fallback.resolveCacheDir(), "");  // default: memory only
-}
-
-TEST(EngineConfig, BuilderChainsAndReturnsSelf) {
-  EngineConfig c;
-  EngineConfig& same = c.withThreads(2)
-                           .withSampleRate(0.5)
-                           .withCacheDir("/tmp/x")
-                           .withStoreFsync(false)
-                           .withStoreMaxBytes(1 << 20);
-  EXPECT_EQ(&same, &c);
-  EXPECT_EQ(c.threads, 2);
-  EXPECT_EQ(c.sampleRate, 0.5);
-  EXPECT_EQ(c.resolveCacheDir(), "/tmp/x");
-  EXPECT_FALSE(c.storeFsync);
-  EXPECT_EQ(c.storeMaxBytes, 1u << 20);
 }
 
 /// The referee's measurement of a full T-step trace: the tree walker feeds
@@ -145,7 +130,7 @@ TEST(EngineConfig, TreeWalkMatchesTheAddressOnlyPlanOverTheCorpus) {
   // whole, and at T = 5, which stops early and extrapolates.  Measurements
   // run on the paper's machine (whose TLB takes the stamped ways) and on it
   // scaled down by 256 (a 4-entry recency-ordered TLB and a 128-byte L1).
-  Engine engine(EngineConfig().withCacheDir(""));
+  Engine engine(EngineConfig{.cacheDir = ""});
   const MachineConfig o2k = MachineConfig::origin2000();
   int cases = 0;
   testing::forEachRegistryCase([&](const testing::CorpusCase& c) {
@@ -174,9 +159,7 @@ TEST(EngineConfig, LiveEngineResolvesPrecedenceAtConstruction) {
   std::filesystem::remove_all(cfgDir);
   EnvGuard guard("GCR_CACHE_DIR", envDir.c_str());
   {
-    EngineConfig c;
-    c.withCacheDir(cfgDir).withStoreFsync(false);
-    Engine engine(c);
+    Engine engine(EngineConfig{.cacheDir = cfgDir, .storeFsync = false});
     Program p = apps::buildApp("ADI");
     ProgramVersion v = engine.version(p, Strategy::Fused);
     (void)engine.measure(v, 16, MachineConfig::origin2000());

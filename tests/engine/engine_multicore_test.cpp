@@ -107,18 +107,14 @@ TEST(EngineMulticore, PersistsAcrossEngines) {
 
   std::vector<std::uint8_t> first;
   {
-    EngineConfig opts;
-    opts.withCacheDir(dir.path()).withStoreFsync(false);
-    Engine warm(opts);
+    Engine warm(EngineConfig{.cacheDir = dir.path(), .storeFsync = false});
     ProgramVersion v = warm.version(p, Strategy::Fused);
     first = store::encodeMulticoreProfile(
         warm.multicoreProfile(v, 20, smallTopo(4)));
     EXPECT_GT(warm.stats().store.puts, 0u);
   }
 
-  EngineConfig opts;
-  opts.withCacheDir(dir.path()).withStoreFsync(false);
-  Engine cold(opts);
+  Engine cold(EngineConfig{.cacheDir = dir.path(), .storeFsync = false});
   ProgramVersion v = cold.version(p, Strategy::Fused);
   const std::vector<std::uint8_t> replay = store::encodeMulticoreProfile(
       cold.multicoreProfile(v, 20, smallTopo(4)));

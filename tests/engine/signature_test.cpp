@@ -76,13 +76,6 @@ TEST(Signature, MachineAndCostSignatures) {
   EXPECT_EQ(costSignature(CostModel{}), costSignature(CostModel{}));
 }
 
-TEST(Signature, CombineIsOrderDependent) {
-  const Signature a = SigHasher().u64(1).take();
-  const Signature b = SigHasher().u64(2).take();
-  EXPECT_NE(combineSignatures({a, b}), combineSignatures({b, a}));
-  EXPECT_NE(combineSignatures({a}), combineSignatures({a, a}));
-}
-
 TEST(Signature, HasherResistsConcatenationAliasing) {
   // "ab" vs "a","b": length tagging must keep field boundaries distinct.
   EXPECT_NE(SigHasher().str("ab").take(),

@@ -139,7 +139,7 @@ TEST(DeclinedPlan, ExecuteAndTraceThrowTheCompilersReason) {
 TEST(DeclinedPlan, MeasurementsAndProfilesThrowTheCompilersReason) {
   const MachineConfig machine = MachineConfig::origin2000();
   const CacheTopology topology = CacheTopology::symmetric(2).scaledDown(64);
-  Engine engine(EngineConfig().withThreads(2).withCacheDir(""));
+  Engine engine(EngineConfig{.threads = 2, .cacheDir = ""});
   for (const DeclinedCase& c : declinedCases()) {
     SCOPED_TRACE(c.version.name);
     const ProgramVersion& v = c.version;

@@ -5,8 +5,7 @@
 // cross many compactions: random traces over working sets of 1 to 20,000
 // data with negative keys, under element-range hints that cover none, all
 // or a third of the keys; the adversarial shapes; every evaluation app under
-// five strategies at element and line granularity; the sampled tracker; and
-// the pairwise collector built on the tracker.
+// five strategies at element and line granularity; and the sampled tracker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "interp/schedule_corpus.hpp"
-#include "locality/evadable.hpp"
 #include "locality/reuse_distance.hpp"
 #include "locality/sampled_reuse.hpp"
 #include "locality/tracker_referee.hpp"
@@ -280,47 +278,6 @@ TEST(TrackerReferee, SampledTrackerAtRates1And8And64) {
       EXPECT_EQ(t.sampledAccesses(), ref.accesses()) << "rate " << rate;
       EXPECT_EQ(t.distinctSampled(), ref.distinctData()) << "rate " << rate;
     }
-  }
-}
-
-TEST(TrackerReferee, PairwiseCollectorMatchesReferee) {
-  // Per-(producer, consumer) statement counts and distance sums, and the
-  // histogram, against the referee tracker plus a last-statement map.
-  SplitMix64 rng(8);
-  std::vector<std::int64_t> keys;
-  for (std::int64_t i = 0; i < 5000; ++i) keys.push_back(8 * (i - 1000));
-  const std::vector<std::int64_t> trace = randomTrace(rng, keys, 120000);
-  for (const std::uint64_t bytes : {std::uint64_t{0}, std::uint64_t{32000}}) {
-    PairwiseReuseCollector c(8);
-    c.reserve(0, bytes);
-    testing::ReuseDistanceTracker ref;
-    FlatMap64<int> lastStmt;
-    FlatMap64<ReusePairStats> pairs;
-    Log2Histogram hist;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      const int stmt = static_cast<int>(i % 7);
-      c.accessFrom(stmt, trace[i]);
-      const std::int64_t k = trace[i] / 8;
-      const std::uint64_t d = ref.access(k);
-      hist.add(d);
-      int& last = lastStmt[k];
-      if (d != testing::ReuseDistanceTracker::kCold) {
-        ReusePairStats& st =
-            pairs[(static_cast<std::int64_t>(last) << 24) ^ stmt];
-        ++st.count;
-        st.sumDistance += static_cast<double>(d);
-      }
-      last = stmt;
-    }
-    EXPECT_EQ(c.histogram().toCsv(), hist.toCsv()) << "bytes " << bytes;
-    EXPECT_EQ(c.accesses(), ref.accesses());
-    EXPECT_EQ(c.pairs().size(), pairs.size());
-    pairs.forEach([&](std::int64_t key, const ReusePairStats& want) {
-      const ReusePairStats* got = c.pairs().find(key);
-      ASSERT_NE(got, nullptr) << "pair " << key;
-      EXPECT_EQ(got->count, want.count) << "pair " << key;
-      EXPECT_EQ(got->sumDistance, want.sumDistance) << "pair " << key;
-    });
   }
 }
 

@@ -132,7 +132,7 @@ TEST(Server, ProfileAndOptimizeAndVerifyRoundTrip) {
 
   // Both payloads are the store codec of a direct in-process run, byte for
   // byte.
-  Engine direct(EngineConfig().withCacheDir(""));
+  Engine direct(EngineConfig{.cacheDir = ""});
   const ReuseProfile localProf = direct.reuseProfile(
       direct.version(apps::buildApp("Swim"), preq.spec.strategy,
                      preq.spec.versionSpec()),
@@ -257,7 +257,7 @@ TEST(Server, ConcurrentMulticoreSessionsOnAThreadedEngineMatchDirectRuns) {
     });
   for (std::thread& t : sessions) t.join();
 
-  Engine direct(EngineConfig().withThreads(1));
+  Engine direct(EngineConfig{.threads = 1});
   for (int s = 0; s < kSessions; ++s)
     for (int r = 0; r < kRounds; ++r) {
       const Result<MulticoreProfile>& got =
@@ -730,7 +730,9 @@ TEST(Server, StatsServedWhileDrainingReportsDraining) {
   std::thread drainer([&] { ts.server->drainAndStop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const Result<StatsReply> stats = client->stats();
-  if (stats.ok()) EXPECT_TRUE(stats->server.draining);
+  if (stats.ok()) {
+    EXPECT_TRUE(stats->server.draining);
+  }
   client.reset();  // unblock the drain's half-close handshake
   drainer.join();
   slow.join();

@@ -253,8 +253,9 @@ TEST(StoreRejectRace, RejectUnlinkSparesConcurrentlyRenamedFreshEntry) {
   auto store = ArtifactStore::open(opts);
   ASSERT_NE(store, nullptr);
   auto before = store->get(ArtifactKind::Measurement, key);
-  if (before.has_value())
+  if (before.has_value()) {
     EXPECT_TRUE(sameBytes(before->payload(), payloadForKey(key)));
+  }
   ASSERT_TRUE(store->put(ArtifactKind::Measurement, key, payloadForKey(key)));
   auto after = store->get(ArtifactKind::Measurement, key);
   ASSERT_TRUE(after.has_value());
